@@ -36,6 +36,7 @@ from .inference import (
     BrocaModel,
     MapConfig,
     WernickeModel,
+    exact_listener_model,
     fit_broca,
     fit_wernicke,
     map_target,
@@ -53,6 +54,10 @@ EXIT_CONFIG = 3
 EXIT_MODULE = 4
 
 CONFIG_ENV_VAR = "COOPLANG_CONFIG"
+
+INFERENCE_DEFAULTS = {"alpha": 1.0, "variant": "literal", "smoothing": 0.0,
+                      "backoff": 0.5}
+RUN_DEFAULTS = {"n_episodes": 100, "seed": 0, "out": "out"}
 
 ARTIFACTS = {
     "community": "community.json",
@@ -86,17 +91,22 @@ class ExperimentConfig:
             community = CommunityConfig.from_dict(
                 {"game": doc["game"], **doc.get("community", {})}
             )
-            inference = {
-                "alpha": 1.0, "variant": "literal", "smoothing": 0.0,
-                "backoff": 0.5, **doc.get("inference", {}),
-            }
+            inference = _section(doc, "inference", INFERENCE_DEFAULTS)
             distances = DistanceConfig(**doc.get("distances", {}))
-            run = {"n_episodes": 100, "seed": 0, "out": "out",
-                   **doc.get("run", {})}
+            run = _section(doc, "run", RUN_DEFAULTS)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad config structure: {exc}")
         return cls(game=game, community=community, inference=inference,
                    distances=distances, run=run)
+
+
+def _section(doc: dict, name: str, defaults: dict) -> dict:
+    """A config section over its defaults; unknown keys are errors."""
+    section = doc.get(name, {})
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return {**defaults, **section}
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
@@ -156,8 +166,13 @@ def cmd_fit_wernicke(cfg: ExperimentConfig, args) -> str:
     dataset = _load_dataset(out, cfg.game)
     alpha = args.alpha if args.alpha is not None else cfg.inference["alpha"]
     map_cfg = MapConfig(alpha=alpha, variant=cfg.inference["variant"])
+    listener_model = None
+    if map_cfg.variant == "expected":
+        community = build_community(cfg.community, _seed(cfg, args))
+        listener_model = exact_listener_model(community.listeners[0], cfg.game)
     model = fit_wernicke(dataset, cfg.game, map_cfg,
-                         backoff=cfg.inference["backoff"])
+                         backoff=cfg.inference["backoff"],
+                         listener_model=listener_model)
     path = out / ARTIFACTS["wernicke"]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model.to_json_dict(), fh, sort_keys=True, indent=2)

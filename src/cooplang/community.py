@@ -18,20 +18,17 @@ import numpy as np
 from .errors import (
     ConfigError,
     EnumerationCapError,
+    InvalidActionError,
     VocabularyTooSmallError,
 )
 from .games import (
     DEFAULT_ENUMERATION_CAP,
     GameSpec,
     Trajectory,
-    enumerate_trajectories,
     game_fingerprint,
-    is_terminal,
-    make_trajectory,
-    state_digest,
-    step,
-    trajectory_return,
+    step,  # not called here; perfbench tests patch this binding
 )
+from .tables import GameTable, listener_table
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,9 @@ class ListenerPolicy:
     codebook: dict[str, tuple[str, ...]]
     epsilon: float = 0.0
     default_plan: tuple[str, ...] = ()
-    _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # game fingerprint -> ListenerTable; init=False, so replace() starts empty
+    _dist_cache: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -122,7 +121,9 @@ class SpeakerPolicy:
     temp_target: float = 1.0
     greedy_msg: bool = False
     greedy_target: bool = False
-    _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # (game fingerprint, target key) -> speaker table
+    _dist_cache: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if self.temp_msg <= 0 or self.temp_target <= 0:
@@ -133,19 +134,21 @@ def rollout(game: GameSpec, listener: ListenerPolicy, message: Message,
             rng: np.random.Generator) -> Trajectory:
     """Sample one listener trajectory given a message."""
     validate_message(game, message)
+    table = listener_table(listener, game).game
     plan = listener.plan_for(message)
-    state = game.initial_state()
-    actions: list[str] = []
-    for k in range(game.horizon):
-        if is_terminal(game, state):
-            break
+    actions = table.env_actions
+    path: tuple[str, ...] = ()
+    # the enumeration is prefix-free, so a path is a whole trajectory
+    # exactly when the episode ends there (terminal state or horizon)
+    while (i := table.index.get(path)) is None:
         if listener.epsilon > 0 and rng.random() < listener.epsilon:
-            a = game.env_actions[rng.integers(len(game.env_actions))]
+            a = actions[rng.integers(len(actions))]
         else:
-            a = listener.planned_action(game, plan, k)
-        state = step(game, state, a).next_state
-        actions.append(a)
-    return make_trajectory(game, actions)
+            a = listener.planned_action(game, plan, len(path))
+            if a not in actions:
+                raise InvalidActionError(f"action {a!r} not in {actions}")
+        path += (a,)
+    return table.trajs[i]
 
 
 def listener_traj_dist(
@@ -158,19 +161,8 @@ def listener_traj_dist(
     probabilities multiply out to a distribution summing to 1.
     """
     validate_message(game, message)
-    key = (game_fingerprint(game), message.canonical())
-    cached = listener._dist_cache.get(key)
-    if cached is not None:
-        return cached
-    plan = listener.plan_for(message)
-    dist: dict[Trajectory, float] = {}
-    for tau in enumerate_trajectories(game, cap):
-        p = 1.0
-        for k, a in enumerate(tau.actions):
-            p *= listener.step_action_prob(game, plan, k, a)
-        dist[tau] = p
-    listener._dist_cache[key] = dist
-    return dist
+    table = listener_table(listener, game, cap=cap)
+    return table.dist(table.row(message))
 
 
 @dataclass
@@ -214,31 +206,29 @@ class Community:
     listeners: list[ListenerPolicy]
     seed: int
     config: CommunityConfig
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    table: GameTable | None = field(default=None, repr=False)
+    _prior: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.table is None:
+            self.table = GameTable(self.game)
+        v = self.table.values / self.config.temp_target
+        w = np.exp(v - v.max())
+        self._prior = w / w.sum()
 
     @property
     def codebook(self) -> dict[str, tuple[str, ...]]:
         return self.listeners[0].codebook
 
     def trajectories(self) -> list[Trajectory]:
-        if "trajs" not in self._cache:
-            self._cache["trajs"] = enumerate_trajectories(self.game)
-        return self._cache["trajs"]
+        return self.table.trajs
 
     def trajectory_values(self) -> np.ndarray:
-        if "values" not in self._cache:
-            self._cache["values"] = np.array(
-                [trajectory_return(t, self.game.gamma) for t in self.trajectories()]
-            )
-        return self._cache["values"]
+        return self.table.values
 
     def prior_probs(self) -> np.ndarray:
         """Boltzmann prior over enumerated trajectories, exp(V / temp_target)."""
-        if "prior" not in self._cache:
-            v = self.trajectory_values() / self.config.temp_target
-            w = np.exp(v - v.max())
-            self._cache["prior"] = w / w.sum()
-        return self._cache["prior"]
+        return self._prior
 
 
 def build_community(config: CommunityConfig, seed: int) -> Community:
@@ -248,14 +238,13 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
     supermarket) gets distinct messages assigned by a seeded permutation.
     """
     game = config.game
-    trajs = enumerate_trajectories(game)
+    table = GameTable(game)
+    trajs = table.trajs
     if game.kind == "lewis":
         cover = list(trajs)
     else:
-        ranked = sorted(
-            trajs,
-            key=lambda t: (-trajectory_return(t, game.gamma), t.canonical_key),
-        )
+        # a stable sort keeps canonical-key order among equal returns
+        ranked = [trajs[i] for i in np.argsort(-table.values, kind="stable")]
         cover = ranked[: min(config.codebook_k, len(ranked))]
 
     messages = enumerate_messages(game)
@@ -276,6 +265,8 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
         ListenerPolicy(codebook=dict(codebook), epsilon=config.epsilon)
         for _ in range(config.n_listeners)
     ]
+    for listener in listeners:  # share the game part
+        listener_table(listener, game, table.fp, table)
     speakers = [
         SpeakerPolicy(
             listener_ref=listeners[0],
@@ -287,7 +278,7 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
         for _ in range(config.n_speakers)
     ]
     return Community(game=game, speakers=speakers, listeners=listeners,
-                     seed=seed, config=config)
+                     seed=seed, config=config, table=table)
 
 
 def target_prior_sample(community: Community,
@@ -305,21 +296,17 @@ def _speaker_table(
     speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
 ) -> tuple[list[Message], np.ndarray]:
     """Semantic distances S(m*(target), m) over the emission space (length 1..L)."""
-    from . import semantics  # deferred: semantics imports this module
+    from .semantics import DistanceConfig  # deferred: semantics imports this module
 
-    key = target.canonical_key
-    cached = speaker._dist_cache.get(key)
-    if cached is not None:
-        return cached
-    listener = speaker.listener_ref
-    msgs = enumerate_messages(game)
-    mstar = semantics.optimal_message(listener, game, target)
-    cfg = semantics.DistanceConfig()
-    dists = np.array([
-        semantics.semantic_distance(listener, game, mstar, m, cfg) for m in msgs
-    ])
-    speaker._dist_cache[key] = (msgs, dists)
-    return msgs, dists
+    fp = game_fingerprint(game)
+    cached = speaker._dist_cache.get((fp, target.canonical_key))
+    if cached is None:
+        table = listener_table(speaker.listener_ref, game, fp)
+        mstar = table.row(table.optimal_message(target))
+        dists = table.distances(mstar, table.message_rows[1:], DistanceConfig())
+        cached = speaker._dist_cache[fp, target.canonical_key] = (
+            table.messages[1:], dists)
+    return cached
 
 
 def speaker_message_dist(

@@ -149,11 +149,15 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DatasetParseError(1, f"bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DatasetParseError(1, "header is not a JSON object")
     if header.get("format_version") != DATASET_FORMAT_VERSION:
         raise DatasetParseError(
             1, f"unsupported format_version {header.get('format_version')}"
         )
-    fp = header["game_fingerprint"]
+    fp = header.get("game_fingerprint")
+    if not isinstance(fp, str):
+        raise DatasetParseError(1, "header has no game_fingerprint string")
     if game is not None and fp != game_fingerprint(game):
         raise FingerprintMismatchError(
             f"dataset game {fp} does not match provided game "
@@ -172,7 +176,7 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
                 speaker_id=doc["speaker_id"],
                 listener_id=doc["listener_id"],
             ))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise DatasetParseError(lineno, str(exc)) from exc
     return InteractionDataset(game_fingerprint=fp, records=records,
                               meta=header.get("meta", {}))

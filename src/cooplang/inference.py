@@ -19,7 +19,6 @@ import numpy as np
 from .community import (
     ListenerPolicy,
     Message,
-    enumerate_messages,
     listener_traj_dist,
 )
 from .errors import (
@@ -36,8 +35,8 @@ from .games import (
     game_fingerprint,
     trajectory_return,
 )
-from .semantics import DistanceConfig, semantic_distance, optimal_message, \
-    message_distance, trajectory_distance
+from .semantics import DistanceConfig, message_distance
+from .tables import GameTable, listener_table
 
 MODEL_FORMAT_VERSION = 1
 
@@ -61,16 +60,15 @@ def boltzmann_message_likelihood(
     target: Trajectory, cfg: DistanceConfig,
 ) -> float:
     """exp(-S(m*, m)) normalized over all messages of length 1..L."""
-    msgs = enumerate_messages(game)
+    table = listener_table(listener, game)
+    msgs = table.messages[1:]
     canon = message.canonical()
-    if all(m.canonical() != canon for m in msgs):
+    index = next((i for i, m in enumerate(msgs) if m.canonical() == canon), None)
+    if index is None:
         raise ConfigError(f"message {canon!r} not in the emission space")
-    mstar = optimal_message(listener, game, target)
-    weights = np.exp(np.array([
-        -semantic_distance(listener, game, mstar, m, cfg) for m in msgs
-    ]))
-    probs = weights / weights.sum()
-    return float(probs[[m.canonical() for m in msgs].index(canon)])
+    mstar = table.row(table.optimal_message(target))
+    weights = np.exp(-table.distances(mstar, table.message_rows[1:], cfg))
+    return float(weights[index] / weights.sum())
 
 
 def exact_listener_model(listener: ListenerPolicy, game: GameSpec):
@@ -91,30 +89,31 @@ def map_target(record, game: GameSpec, cfg: MapConfig,
     the listener model given the message (expected). Ties go to higher V,
     then canonical-key order.
     """
+    _require_listener_model(cfg, listener_model)
+    table = GameTable(game)
+    return table.trajs[_map_index(table, record, cfg, listener_model)]
+
+
+def _require_listener_model(cfg: MapConfig, listener_model) -> None:
     if cfg.variant == "expected" and listener_model is None:
         raise ConfigError("variant=expected requires a listener_model")
 
-    candidates = enumerate_trajectories(game)
-    gamma = game.gamma
-    if cfg.variant == "expected":
-        behaviour = listener_model(record.message)
 
-    best = None
-    for cand in candidates:
-        if cfg.variant == "literal":
-            dist = trajectory_distance(cand, record.trajectory)
-        else:
-            dist = sum(p * trajectory_distance(cand, tau)
-                       for tau, p in behaviour.items() if p > 0)
-        value = trajectory_return(cand, gamma)
-        score = value - cfg.alpha * dist
-        entry = (score, value, cand)
-        if best is None or score > best[0] or (
-            score == best[0] and (value > best[1] or (
-                value == best[1] and cand.canonical_key < best[2].canonical_key))
-        ):
-            best = entry
-    return best[2]
+def _map_index(table: GameTable, record, cfg: MapConfig,
+               listener_model) -> int:
+    """Index of the MAP candidate: max score, then max V, then first key."""
+    if cfg.variant == "literal":
+        dist = table.column(record.trajectory)
+    else:
+        # the sum runs over the behaviour in its own order, term by term
+        terms = [(p, table.column(tau).tolist())
+                 for tau, p in listener_model(record.message).items() if p > 0]
+        dist = np.array([sum(p * col[c] for p, col in terms)
+                         for c in range(len(table.trajs))])
+    scores = table.values - cfg.alpha * dist
+    best = np.flatnonzero(scores == scores.max())
+    best = best[table.values[best] == table.values[best].max()]
+    return int(best[0])
 
 
 def coarse_feature(game: GameSpec, tau: Trajectory) -> str:
@@ -273,16 +272,23 @@ class WernickeModel:
 
 def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
                  backoff: float = 0.5, listener_model=None) -> WernickeModel:
-    """Pseudo-label every record via MAP, then count labels per message."""
+    """Pseudo-label every record via MAP, then count labels per message.
+
+    A literal label depends only on the observed trajectory and an
+    expected one only on the message, so each is computed once per fit.
+    """
+    records = _public_records(dataset, game)
+    _require_listener_model(cfg, listener_model)
+    game_table = GameTable(game)
     table: dict[str, dict[str, int]] = {}
-    label_cache: dict[tuple[str, str], str] = {}
-    for rec in _public_records(dataset, game):
+    labels: dict = {}
+    for rec in records:
         msg = rec.message.canonical()
-        cache_key = (msg, rec.trajectory.canonical_key)
-        label = label_cache.get(cache_key)
+        key = rec.trajectory.actions if cfg.variant == "literal" else msg
+        label = labels.get(key)
         if label is None:
-            label = map_target(rec, game, cfg, listener_model).canonical_key
-            label_cache[cache_key] = label
+            index = _map_index(game_table, rec, cfg, listener_model)
+            label = labels[key] = game_table.trajs[index].canonical_key
         table.setdefault(msg, {})
         table[msg][label] = table[msg].get(label, 0) + 1
     return WernickeModel(game=game, table=table, alpha=cfg.alpha,

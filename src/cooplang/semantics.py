@@ -20,8 +20,7 @@ from .community import (
     ListenerPolicy,
     Message,
     NULL_MESSAGE,
-    enumerate_messages,
-    listener_traj_dist,
+    validate_message,
 )
 from .errors import (
     ConfigError,
@@ -31,6 +30,7 @@ from .errors import (
     TooFewEpisodesError,
 )
 from .games import GameSpec, Trajectory
+from .tables import listener_table
 
 DEFAULT_WASSERSTEIN_SUPPORT_CAP = 512
 
@@ -101,10 +101,18 @@ def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:
     return _levenshtein(t1.actions, t2.actions) / max(len(t1), len(t2), 1)
 
 
-def _check_normalized(p: dict[Trajectory, float], name: str) -> None:
-    total = sum(p.values())
+def _check_normalized(probs, name: str) -> None:
+    total = sum(probs)
     if abs(total - 1.0) > 1e-9:
         raise DistributionError(f"{name} sums to {total}, expected 1")
+
+
+def _check_support_cap(atoms: int, cfg: DistanceConfig) -> None:
+    if atoms > cfg.wasserstein_support_cap:
+        raise SupportMismatchError(
+            f"support of {atoms} atoms exceeds the Wasserstein cap "
+            f"({cfg.wasserstein_support_cap}); use the total_variation lift"
+        )
 
 
 def distribution_distance(
@@ -113,38 +121,41 @@ def distribution_distance(
     """Lift the trajectory metric to distributions on a shared finite support."""
     if set(t.canonical_key for t in p) != set(t.canonical_key for t in q):
         raise SupportMismatchError("distributions have different supports")
-    _check_normalized(p, "p")
-    _check_normalized(q, "q")
+    _check_normalized(p.values(), "p")
+    _check_normalized(q.values(), "q")
 
     support = sorted(p, key=lambda t: t.canonical_key)
     pv = np.array([p[t] for t in support])
     qv = np.array([q[t] for t in support])
 
+    def cost(p_idx, q_idx):
+        return np.array([
+            [trajectory_distance(support[i], support[j]) for j in q_idx]
+            for i in p_idx
+        ])
+
+    return _lift(pv, qv, cost, cfg)
+
+
+def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
+    """The transport core: lift the ground metric to two probability vectors.
+
+    cost_of(p_idx, q_idx) returns the ground-metric submatrix between two
+    index sets of the shared support.
+    """
     if cfg.dist_lift == "total_variation":
         return 0.5 * float(np.abs(pv - qv).sum())
-    return _wasserstein1(support, pv, qv, cfg)
-
-
-def _wasserstein1(support, pv, qv, cfg: DistanceConfig) -> float:
     if np.array_equal(pv, qv):
         return 0.0
     if tuple(qv) < tuple(pv):  # canonical order makes the result symmetric
         pv, qv = qv, pv
     p_idx = np.flatnonzero(pv > 0)
     q_idx = np.flatnonzero(qv > 0)
-    if max(len(p_idx), len(q_idx)) > cfg.wasserstein_support_cap:
-        raise SupportMismatchError(
-            f"support of {max(len(p_idx), len(q_idx))} atoms exceeds the "
-            f"Wasserstein cap ({cfg.wasserstein_support_cap}); use the "
-            f"total_variation lift"
-        )
+    _check_support_cap(max(len(p_idx), len(q_idx)), cfg)
+    cost = cost_of(p_idx, q_idx)
     if len(p_idx) == 1 and len(q_idx) == 1:
-        return trajectory_distance(support[p_idx[0]], support[q_idx[0]])
+        return float(cost[0, 0])
 
-    cost = np.array([
-        [trajectory_distance(support[i], support[j]) for j in q_idx]
-        for i in p_idx
-    ])
     n, m = cost.shape
     # exact transport LP: rows ship p mass, columns receive q mass
     row = sp.kron(sp.eye(n), np.ones((1, m)))
@@ -165,24 +176,7 @@ def optimal_message(
     Candidates include the null message; ties go to the shortest message
     and then lexicographic token order (the enumeration order).
     """
-    from .games import game_fingerprint
-
-    cache_key = ("mstar", game_fingerprint(game), target.canonical_key)
-    cached = listener._dist_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    best_msg, best_score = None, -1.0
-    for msg in enumerate_messages(game, include_null=True):
-        dist = listener_traj_dist(listener, game, msg)
-        score = 0.0
-        for tau, prob in dist.items():
-            if tau.canonical_key == target.canonical_key:
-                score = prob
-                break
-        if score > best_score:
-            best_msg, best_score = msg, score
-    listener._dist_cache[cache_key] = best_msg
-    return best_msg
+    return listener_table(listener, game).optimal_message(target)
 
 
 def semantic_distance(
@@ -192,9 +186,10 @@ def semantic_distance(
     """Distance between the listener behaviours two messages induce."""
     if m1.canonical() == m2.canonical():
         return 0.0
-    p = listener_traj_dist(listener, game, m1)
-    q = listener_traj_dist(listener, game, m2)
-    return distribution_distance(p, q, cfg)
+    validate_message(game, m1)
+    validate_message(game, m2)
+    table = listener_table(listener, game)
+    return table.distance(table.row(m1), table.row(m2), cfg)
 
 
 def positive_listening_test(
@@ -203,23 +198,22 @@ def positive_listening_test(
 ) -> DetectorReport:
     """Does any message move the listener away from null-message behaviour?
 
-    Contexts are conditioning variables (observation-history prefixes);
-    plan-executing listeners here are context-invariant, but the witness
-    reports the achieving (context, message) pair either way.
+    Contexts are conditioning variables (observation-history prefixes).
+    Plan-executing listeners are context-invariant, so every context gives
+    the same distances and the witness reports the first context.
     """
     if not messages:
         raise ConfigError("positive_listening_test needs a non-empty message list")
     if not contexts:
         contexts = [()]
-    null_dist = listener_traj_dist(listener, game, NULL_MESSAGE)
+    table = listener_table(listener, game)
+    null = table.row(NULL_MESSAGE)
     best, witness = 0.0, (contexts[0], messages[0].canonical())
-    for z in contexts:
-        for msg in messages:
-            d = distribution_distance(
-                null_dist, listener_traj_dist(listener, game, msg), cfg
-            )
-            if d > best:
-                best, witness = d, (z, msg.canonical())
+    for msg in messages:
+        validate_message(game, msg)
+        d = table.distance(null, table.row(msg), cfg)
+        if d > best:
+            best, witness = d, (contexts[0], msg.canonical())
     return DetectorReport(detected=best > cfg.listening_epsilon,
                           statistic=best, witness=witness)
 

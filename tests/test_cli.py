@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,18 @@ class TestSubcommands:
         assert run("oracle-check", "--config", config_path) == EXIT_OK
         assert "100 passed, 0 failed" in capsys.readouterr().out
 
+    def test_fit_wernicke_expected_variant(self, config_path, tmp_path):
+        path = Path(config_path)
+        doc = json.loads(path.read_text())
+        doc["community"]["epsilon"] = 0.2
+        doc["inference"] = {"alpha": 1.0, "variant": "expected"}
+        path.write_text(json.dumps(doc))
+        assert run("collect", "--config", config_path, "--n", "60",
+                   "--canonical") == EXIT_OK
+        assert run("fit-wernicke", "--config", config_path) == EXIT_OK
+        model = json.loads((tmp_path / "out" / "wernicke.json").read_text())
+        assert sum(sum(h.values()) for h in model["table"].values()) == 60
+
     def test_fit_artifacts_idempotent(self, config_path, tmp_path):
         out = tmp_path / "out"
         run("collect", "--config", config_path, "--canonical")
@@ -98,6 +111,17 @@ class TestErrorHandling:
     def test_config_from_environment(self, config_path, monkeypatch, tmp_path):
         monkeypatch.setenv("COOPLANG_CONFIG", config_path)
         assert run("gen-community") == EXIT_OK
+
+    @pytest.mark.parametrize("section,key", [("inference", "alpah"),
+                                             ("run", "n_epsiodes")])
+    def test_unknown_section_key_is_config_error(self, config_path, capsys,
+                                                 section, key):
+        path = Path(config_path)
+        doc = json.loads(path.read_text())
+        doc[section][key] = 5.0
+        path.write_text(json.dumps(doc))
+        assert run("gen-community", "--config", config_path) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

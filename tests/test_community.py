@@ -14,6 +14,8 @@ from cooplang import (
     lewis_game,
     listener_traj_dist,
     load_community,
+    make_trajectory,
+    rollout,
     save_community,
     speaker_sample,
     target_prior_sample,
@@ -195,3 +197,79 @@ class TestMessages:
         assert msgs[0] == "a"
         assert msgs[8] == "a a"
         assert len(msgs) == 8 + 64
+
+
+class TestTables:
+    def test_replaced_listener_gets_fresh_tables(self, lewis3):
+        import dataclasses
+        listener = ListenerPolicy(codebook={"a": ("pick0",)}, epsilon=0.0)
+        a = Message(("a",))
+        assert list(listener_traj_dist(listener, lewis3, a).values()) \
+            == [1.0, 0.0, 0.0]
+        noisy = dataclasses.replace(listener, epsilon=0.3)
+        probs = list(listener_traj_dist(noisy, lewis3, a).values())
+        assert probs == pytest.approx([0.8, 0.1, 0.1], abs=1e-12)
+
+    def test_speaker_tables_are_keyed_by_game(self, codebook_listener):
+        speaker = SpeakerPolicy(listener_ref=codebook_listener)
+        small, wide = lewis_game(), lewis_game(vocab=("a", "b", "c", "d"))
+        tau0 = enumerate_trajectories(small)[0]
+        msgs, _ = speaker_message_dist(speaker, small, tau0)
+        assert len(msgs) == 3
+        msgs, probs = speaker_message_dist(speaker, wide, tau0)
+        assert [m.canonical() for m in msgs] == ["a", "b", "c", "d"]
+        assert len(probs) == 4
+
+    def test_speaker_distribution_matches_brute_force(self, lewis3, sm_2x2):
+        from cooplang import (DistanceConfig, distribution_distance,
+                              optimal_message)
+
+        lewis4 = lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"),
+                            max_msg_len=2)
+        for game in (lewis4, sm_2x2):
+            com = build_community(
+                CommunityConfig(game=game, epsilon=0.1, codebook_k=8), 0)
+            listener, speaker = com.listeners[0], com.speakers[0]
+            n = len(game.env_actions)
+            pad = "pick" if game.kind == "supermarket" else game.env_actions[0]
+
+            def behaviour(plan):
+                out = {}
+                for t in com.trajectories():
+                    p = 1.0
+                    for k, a in enumerate(t.actions):
+                        planned = plan[k] if k < len(plan) else pad
+                        p *= 0.9 * (a == planned) + 0.1 / n
+                    out[t] = p
+                return out
+
+            lifted = {}
+
+            def distance(p1, p2):
+                if (p1, p2) not in lifted:
+                    lifted[p1, p2] = distribution_distance(
+                        behaviour(p1), behaviour(p2), DistanceConfig())
+                return lifted[p1, p2]
+
+            msgs = enumerate_messages(game)
+            for target in com.trajectories()[::3]:
+                star = listener.plan_for(optimal_message(listener, game, target))
+                dists = np.array([distance(star, listener.plan_for(m))
+                                  for m in msgs])
+                w = np.exp(-dists - (-dists).max())
+                got_msgs, got = speaker_message_dist(speaker, game, target)
+                assert got_msgs == msgs
+                assert np.array_equal(got, w / w.sum())
+
+    def test_rollout_returns_the_enumerated_trajectory(self, sm_2x2):
+        listener = ListenerPolicy(codebook={"a": ("E", "S")}, epsilon=0.3)
+        rng = np.random.default_rng(0)
+        taus = [rollout(sm_2x2, listener, Message(("a",)), rng)
+                for _ in range(50)]
+        assert all(tau == make_trajectory(sm_2x2, tau.actions) for tau in taus)
+
+    def test_rollout_rejects_an_action_outside_the_game(self, lewis3):
+        from cooplang.errors import InvalidActionError
+        listener = ListenerPolicy(codebook={"a": ("jump",)}, epsilon=0.0)
+        with pytest.raises(InvalidActionError):
+            rollout(lewis3, listener, Message(("a",)), np.random.default_rng(0))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -113,4 +114,25 @@ class TestPersistence:
         lines[0] = lines[0].replace('"format_version":1', '"format_version":9')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetParseError, match="format_version"):
+            load(path)
+
+    @pytest.mark.parametrize("header", [
+        '{"format_version":1,"meta":{}}',   # no game_fingerprint
+        '[1, 2]',                           # not an object
+    ])
+    def test_malformed_header_names_line_one(self, tmp_path, header):
+        path = tmp_path / "d.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(DatasetParseError, match="line 1"):
+            load(path)
+
+    def test_short_step_names_its_line(self, lewis_community, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save(collect(lewis_community, 3, master_seed=0), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["trajectory"]["steps"][0] = ["start", "pick0"]
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetParseError, match="line 3"):
             load(path)

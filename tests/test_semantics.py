@@ -297,3 +297,121 @@ class TestPositiveSignalling:
         a = positive_signalling_test(episodes, cfg, seed=3)
         b = positive_signalling_test(episodes, cfg, seed=3)
         assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
+
+
+def _edit(a, b):
+    """Normalized Levenshtein distance, written apart from the library."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1] / max(len(a), len(b), 1)
+
+
+def _behaviour(game, listener, message):
+    """The listener's exact trajectory distribution, by brute force."""
+    plan = listener.codebook.get(message.canonical(), listener.default_plan)
+    pad = "pick" if game.kind == "supermarket" else game.env_actions[0]
+    n = len(game.env_actions)
+    out = {}
+    for t in enumerate_trajectories(game):
+        p = 1.0
+        for k, a in enumerate(t.actions):
+            planned = plan[k] if k < len(plan) else pad
+            p *= (1.0 - listener.epsilon) * (a == planned) + listener.epsilon / n
+        out[t] = p
+    return out
+
+
+@pytest.fixture(params=["lewis", "sm_2x2"])
+def noisy_game(request, sm_2x2):
+    from cooplang import CommunityConfig, build_community, lewis_game
+    game = (lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"),
+                       max_msg_len=2)
+            if request.param == "lewis" else sm_2x2)
+    com = build_community(
+        CommunityConfig(game=game, epsilon=0.1, codebook_k=8), 0)
+    return game, com
+
+
+class TestTables:
+    def test_one_lp_per_distinct_plan_pair(self, sm_2x2, monkeypatch):
+        from cooplang import CommunityConfig, build_community
+        from cooplang.community import speaker_message_dist
+        import cooplang.semantics
+
+        solves = []
+        real = cooplang.semantics.linprog
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cooplang.semantics, "linprog", counting)
+        com = build_community(
+            CommunityConfig(game=sm_2x2, epsilon=0.1, codebook_k=8), 0)
+        plans = {(), *com.codebook.values()}
+        for target in com.trajectories():
+            speaker_message_dist(com.speakers[0], sm_2x2, target)
+        assert 0 < len(solves) <= len(plans) * (len(plans) - 1) // 2
+
+    def test_optimal_message_matches_brute_force(self, noisy_game):
+        game, com = noisy_game
+        listener = com.listeners[0]
+        msgs = enumerate_messages(game, include_null=True)
+        behaviours = [_behaviour(game, listener, m) for m in msgs]
+        for target in com.trajectories():
+            scores = [b[target] for b in behaviours]
+            want = msgs[scores.index(max(scores))]
+            assert optimal_message(listener, game, target) == want
+
+    def test_literal_map_matches_brute_force(self, noisy_game):
+        from cooplang import MapConfig, map_target, trajectory_return
+        from cooplang.data import InteractionRecord
+
+        game, com = noisy_game
+        trajs = enumerate_trajectories(game)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            observed = trajs[int(rng.integers(len(trajs)))]
+            alpha = float(10 ** rng.uniform(-2, 2))
+            rec = InteractionRecord(
+                message=NULL_MESSAGE, trajectory=observed, hidden_target=None,
+                episode_seed=0, speaker_id="s", listener_id="l")
+            scored = [
+                (sum(r * game.gamma ** k for k, r in enumerate(t.rewards))
+                 - alpha * _edit(t.actions, observed.actions),
+                 trajectory_return(t, game.gamma), t.canonical_key)
+                for t in trajs
+            ]
+            want = min(scored, key=lambda s: (-s[0], -s[1], s[2]))[2]
+            got = map_target(rec, game, MapConfig(alpha=alpha))
+            assert got.canonical_key == want
+
+    def test_semantic_distance_matches_dict_lift(self, noisy_game):
+        game, com = noisy_game
+        listener = com.listeners[0]
+        msgs = enumerate_messages(game, include_null=True)[:12]
+        for lift in ("wasserstein1", "total_variation"):
+            cfg = DistanceConfig(dist_lift=lift)
+            for m1, m2 in itertools.combinations(msgs, 2):
+                want = distribution_distance(_behaviour(game, listener, m1),
+                                             _behaviour(game, listener, m2),
+                                             cfg)
+                assert semantic_distance(listener, game, m1, m2, cfg) == want
+
+    def test_support_cap_raises_on_every_call(self, lewis3):
+        listener = ListenerPolicy(
+            codebook={"a": ("pick0",), "b": ("pick1",)}, epsilon=0.3)
+        a, b = Message(("a",)), Message(("b",))
+        d = semantic_distance(listener, lewis3, a, b, DistanceConfig())
+        assert d > 0.0
+        capped = DistanceConfig(wasserstein_support_cap=2)
+        for _ in range(2):
+            with pytest.raises(SupportMismatchError, match="3 atoms"):
+                semantic_distance(listener, lewis3, a, b, capped)
+            with pytest.raises(SupportMismatchError):
+                positive_listening_test(listener, lewis3, [()], [b], capped)
+        assert semantic_distance(listener, lewis3, a, b, DistanceConfig()) == d
