@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -81,15 +83,17 @@ def pad_action(game: GameSpec) -> str:
     return "pick" if game.kind == "supermarket" else game.env_actions[0]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ListenerPolicy:
     """Executes the plan assigned to a message, with uniform action noise.
 
     Unknown and null messages fall back to default_plan. Plans shorter
     than the realized episode are padded with the game's pad action.
+    The policy is immutable and keeps a read-only copy of its codebook,
+    so its cached tables cannot go stale.
     """
 
-    codebook: dict[str, tuple[str, ...]]
+    codebook: Mapping[str, tuple[str, ...]]
     epsilon: float = 0.0
     default_plan: tuple[str, ...] = ()
     # game fingerprint -> ListenerTable; init=False, so replace() starts empty
@@ -99,6 +103,9 @@ class ListenerPolicy:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must lie in [0, 1]")
+        object.__setattr__(self, "codebook", MappingProxyType(
+            {m: tuple(plan) for m, plan in self.codebook.items()}))
+        object.__setattr__(self, "default_plan", tuple(self.default_plan))
 
     def plan_for(self, message: Message) -> tuple[str, ...]:
         return self.codebook.get(message.canonical(), self.default_plan)
@@ -112,7 +119,7 @@ class ListenerPolicy:
         return (1.0 - self.epsilon) * (action == planned) + self.epsilon / n
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpeakerPolicy:
     """Boltzmann message emitter calibrated to a reference listener."""
 
@@ -121,7 +128,7 @@ class SpeakerPolicy:
     temp_target: float = 1.0
     greedy_msg: bool = False
     greedy_target: bool = False
-    # (game fingerprint, target key) -> speaker table
+    # (game fingerprint, target key) -> (messages, distances, message CDF)
     _dist_cache: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -208,16 +215,16 @@ class Community:
     config: CommunityConfig
     table: GameTable | None = field(default=None, repr=False)
     _prior: np.ndarray = field(init=False, repr=False)
+    _prior_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.table is None:
             self.table = GameTable(self.game)
-        v = self.table.values / self.config.temp_target
-        w = np.exp(v - v.max())
-        self._prior = w / w.sum()
+        self._prior = _boltzmann(self.table.values, self.config.temp_target)
+        self._prior_cdf = _cdf(self._prior)
 
     @property
-    def codebook(self) -> dict[str, tuple[str, ...]]:
+    def codebook(self) -> Mapping[str, tuple[str, ...]]:
         return self.listeners[0].codebook
 
     def trajectories(self) -> list[Trajectory]:
@@ -288,14 +295,37 @@ def target_prior_sample(community: Community,
     if community.config.greedy_target:
         values = community.trajectory_values()
         return trajs[int(np.argmax(values))]
-    probs = community.prior_probs()
-    return trajs[int(rng.choice(len(trajs), p=probs))]
+    return trajs[_draw(community._prior_cdf, rng)]
+
+
+def _boltzmann(scores: np.ndarray, temp: float) -> np.ndarray:
+    """exp(scores / temp), normalized."""
+    scaled = scores / temp
+    w = np.exp(scaled - scaled.max())
+    return w / w.sum()
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF that Generator.choice(len(probs), p=probs) searches."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Generator.choice(len(p), p=p) given the CDF of p.
+
+    The same arithmetic as numpy's: the same index, drawn from the same
+    single uniform, so the stream is left at the same position.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _speaker_table(
     speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
-) -> tuple[list[Message], np.ndarray]:
-    """Semantic distances S(m*(target), m) over the emission space (length 1..L)."""
+) -> tuple[list[Message], np.ndarray, np.ndarray]:
+    """Semantic distances S(m*(target), m) over the emission space (length 1..L)
+    and the CDF of the speaker's message distribution over it."""
     from .semantics import DistanceConfig  # deferred: semantics imports this module
 
     fp = game_fingerprint(game)
@@ -305,7 +335,7 @@ def _speaker_table(
         mstar = table.row(table.optimal_message(target))
         dists = table.distances(mstar, table.message_rows[1:], DistanceConfig())
         cached = speaker._dist_cache[fp, target.canonical_key] = (
-            table.messages[1:], dists)
+            table.messages[1:], dists, _cdf(_boltzmann(-dists, speaker.temp_msg)))
     return cached
 
 
@@ -313,10 +343,8 @@ def speaker_message_dist(
     speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
 ) -> tuple[list[Message], np.ndarray]:
     """Message distribution exp(-S(m*, m)/temp) over messages of length 1..L."""
-    msgs, dists = _speaker_table(speaker, game, target)
-    scaled = -dists / speaker.temp_msg
-    w = np.exp(scaled - scaled.max())
-    return msgs, w / w.sum()
+    msgs, dists, _ = _speaker_table(speaker, game, target)
+    return msgs, _boltzmann(-dists, speaker.temp_msg)
 
 
 def speaker_sample(speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
@@ -328,11 +356,10 @@ def speaker_sample(speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
     semantic distance from the optimal message, which is the optimal
     message itself whenever that message is emittable.
     """
+    msgs, dists, cdf = _speaker_table(speaker, game, target)
     if speaker.greedy_msg:
-        msgs, dists = _speaker_table(speaker, game, target)
         return msgs[int(np.argmin(dists))]
-    msgs, probs = speaker_message_dist(speaker, game, target)
-    return msgs[int(rng.choice(len(msgs), p=probs))]
+    return msgs[_draw(cdf, rng)]
 
 
 COMMUNITY_FORMAT_VERSION = 1

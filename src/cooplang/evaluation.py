@@ -117,9 +117,11 @@ def eval_speaker(broca: BrocaModel, community: Community, n: int,
             "oracle": optimal_message(listener0, game, target),
             "random": random_msg,
         }
+        # every arm replays the same stream: default_rng([seed, i, 1])
+        stream = np.random.SeedSequence([seed, i, 1])
         for arm, message in arms.items():
             tau = rollout(game, listener, message,
-                          np.random.default_rng([seed, i, 1]))
+                          np.random.Generator(np.random.PCG64(stream)))
             hits[arm] += tau.canonical_key == target.canonical_key
             returns[arm] += trajectory_return(tau, game.gamma)
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     ConfigError,
@@ -35,9 +37,9 @@ _GAME_JSON_FIELDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameSpec:
-    """A finite referential game.
+    """A finite referential game, immutable once built.
 
     kind: "lewis" or "supermarket".
     vocab: token alphabet for messages.
@@ -46,6 +48,10 @@ class GameSpec:
     gamma: discount factor.
     reward_params: per-kind reward constants.
     layout: per-kind structure (candidates/target, or grid/items/list/start).
+
+    reward_params and layout are stored read-only (mappings as mapping
+    proxies, lists as tuples), so the fingerprint, computed once from the
+    canonical JSON form, cannot go stale.
     """
 
     kind: str
@@ -53,12 +59,19 @@ class GameSpec:
     max_msg_len: int
     horizon: int
     gamma: float
-    reward_params: dict
-    layout: dict
+    reward_params: Mapping
+    layout: Mapping
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vocab = tuple(self.vocab)
+        object.__setattr__(self, "vocab", tuple(self.vocab))
+        object.__setattr__(self, "reward_params", _freeze(self.reward_params))
+        object.__setattr__(self, "layout", _freeze(self.layout))
         self.validate()
+        blob = json.dumps(self.to_json_dict(), sort_keys=True,
+                          separators=(",", ":"))
+        object.__setattr__(self, "fingerprint",
+                           hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
 
     def validate(self, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> None:
         if self.kind not in ("lewis", "supermarket"):
@@ -93,14 +106,17 @@ class GameSpec:
             w, h = self.layout.get("width"), self.layout.get("height")
             if not (isinstance(w, int) and isinstance(h, int) and w > 0 and h > 0):
                 raise ConfigError("supermarket layout needs positive width/height")
-            items = self.layout.get("items", {})
+            for key in ("items", "shopping_list"):
+                if key not in self.layout:
+                    raise ConfigError(f"supermarket layout needs {key}")
+            items = self.layout["items"]
             cells = [tuple(c) for c in items.values()]
             if len(set(cells)) != len(cells):
                 raise ConfigError("supermarket items must occupy distinct cells")
             for name, (x, y) in items.items():
                 if not (0 <= x < w and 0 <= y < h):
                     raise ConfigError(f"item {name!r} cell out of grid bounds")
-            for name in self.layout.get("shopping_list", []):
+            for name in self.layout["shopping_list"]:
                 if name not in items:
                     raise ConfigError(f"shopping list item {name!r} not on the map")
             sx, sy = self.layout.get("start", (None, None))
@@ -130,8 +146,8 @@ class GameSpec:
             "max_msg_len": self.max_msg_len,
             "horizon": self.horizon,
             "gamma": self.gamma,
-            "reward_params": dict(self.reward_params),
-            "layout": _layout_to_json(self.layout),
+            "reward_params": _thaw(self.reward_params),
+            "layout": _thaw(self.layout),
         }
 
     @classmethod
@@ -149,37 +165,31 @@ class GameSpec:
             horizon=doc["horizon"],
             gamma=doc["gamma"],
             reward_params=dict(doc["reward_params"]),
-            layout=_layout_from_json(doc["kind"], doc["layout"]),
+            layout=dict(doc["layout"]),
         )
 
 
-def _layout_to_json(layout: dict) -> dict:
-    out = {}
-    for key, val in layout.items():
-        if key == "items":
-            out[key] = {name: list(cell) for name, cell in val.items()}
-        elif isinstance(val, tuple):
-            out[key] = list(val)
-        else:
-            out[key] = val
-    return out
+def _freeze(value):
+    """A read-only copy: mappings become mapping proxies, lists tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _freeze(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(v) for v in value)
+    return value
 
 
-def _layout_from_json(kind: str, layout: dict) -> dict:
-    out = dict(layout)
-    if kind == "supermarket":
-        out["items"] = {name: tuple(cell) for name, cell in layout["items"].items()}
-        out["start"] = tuple(layout["start"])
-        out["shopping_list"] = list(layout["shopping_list"])
-    else:
-        out["candidates"] = list(layout["candidates"])
-    return out
+def _thaw(value):
+    """The JSON form of a frozen value: dicts and lists."""
+    if isinstance(value, Mapping):
+        return {k: _thaw(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_thaw(v) for v in value]
+    return value
 
 
 def game_fingerprint(game: GameSpec) -> str:
-    """Stable digest of a game's canonical JSON form."""
-    blob = json.dumps(game.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    """Stable digest of a game's canonical JSON form, computed at construction."""
+    return game.fingerprint
 
 
 def lewis_game(

@@ -265,9 +265,20 @@ class WernickeModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict, game: GameSpec) -> "WernickeModel":
+        """Load a model; every label must be a trajectory of the game."""
         _check_model_doc(doc, "wernicke", game)
-        return cls(game=game, table=doc["table"], alpha=doc["alpha"],
-                   backoff=doc["backoff"])
+        table = doc["table"]
+        if not (isinstance(table, dict)
+                and all(isinstance(h, dict) for h in table.values())):
+            raise ConfigError("wernicke table must map messages to label counts")
+        model = cls(game=game, table=table, alpha=doc["alpha"],
+                    backoff=doc["backoff"])
+        unknown = sorted({key for hist in table.values() for key in hist}
+                         - model._traj_index.keys())
+        if unknown:
+            raise ConfigError(
+                f"wernicke labels are not trajectories of the game: {unknown}")
+        return model
 
 
 def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,

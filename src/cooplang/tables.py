@@ -81,7 +81,7 @@ class ListenerTable:
     def __init__(self, game: GameTable, listener):
         self.game = game
         plans = list(dict.fromkeys(
-            tuple(p) for p in (listener.default_plan, *listener.codebook.values())))
+            (listener.default_plan, *listener.codebook.values())))
         # plans with equal behaviour share a row, so a != b means P[a] != P[b]
         rows: dict[bytes, int] = {}
         kept, row_of_plan = [], {}
@@ -92,8 +92,8 @@ class ListenerTable:
             row_of_plan[plan] = row
         self.P = np.array(kept)
         self.nnz = (self.P > 0).sum(axis=1)
-        self.default_row = row_of_plan[tuple(listener.default_plan)]
-        self.row_of = {canon: row_of_plan[tuple(plan)]
+        self.default_row = row_of_plan[listener.default_plan]
+        self.row_of = {canon: row_of_plan[plan]
                        for canon, plan in listener.codebook.items()}
         self._mstar: dict[int, object] = {}
         self._S: dict[str, np.ndarray] = {}

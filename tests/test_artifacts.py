@@ -1,0 +1,108 @@
+"""The bytes of every CLI artifact, pinned.
+
+Two small configs run the seven pipeline commands in one process, and each
+artifact a command writes is checked against the sha256 it had when it was
+recorded. A change to how an episode consumes its rng stream, to the order
+of a sum, or to a file format changes some digest, so a change meant to
+keep the outputs must keep every one of them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cooplang import lewis_game, supermarket_game
+from cooplang.cli import EXIT_OK, main
+
+CONFIGS = {
+    "lewis4-eps0.1": {
+        "game": lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"),
+                           max_msg_len=2).to_json_dict(),
+        "community": {"epsilon": 0.1, "temp_msg": 1.0},
+        "inference": {"alpha": 1.0},
+        "run": {"n_episodes": 200, "seed": 3},
+    },
+    "sm2x2-eps0.1": {
+        "game": supermarket_game(
+            width=2, height=2, items={"milk": (1, 1)}, shopping_list=["milk"],
+            start=(0, 0), horizon=2, vocab=tuple("abcdefgh"),
+            max_msg_len=2).to_json_dict(),
+        "community": {"epsilon": 0.1, "temp_msg": 1.0, "codebook_k": 8},
+        "inference": {"alpha": 1.0},
+        "run": {"n_episodes": 200, "seed": 3},
+    },
+}
+
+# the files each command writes, in pipeline order
+PIPELINE = [
+    ("gen-community", ["community.json"]),
+    ("collect", ["dataset.jsonl"]),
+    ("fit-broca", ["broca.json"]),
+    ("fit-wernicke", ["wernicke.json"]),
+    ("detect", ["report.json"]),
+    ("eval-speaker", ["report.json", "report.csv"]),
+    ("eval-listener", ["report.json", "report.csv"]),
+]
+
+DIGESTS = {
+    "lewis4-eps0.1": {
+        "gen-community/community.json":
+            "910dc0bf5a8fa2e8a7d08e8934f9bff2e78ed2dd294cdf0daefe9c706761e50c",
+        "collect/dataset.jsonl":
+            "d76dc9afbf4c6a75c79a4879931584728751c470f36a1e2ad37db8fee34a470f",
+        "fit-broca/broca.json":
+            "46ab999afe1bfac5f1b95e7e75a238a78905a6014abddba16123cf3322274d77",
+        "fit-wernicke/wernicke.json":
+            "c103e194a00b5713f1be990f8649d18833b1bd98b8c3c0a18d202f2b3b37721e",
+        "detect/report.json":
+            "30c6579b2d6cda155837c2f52130dc98eb0b83d0062b9a873151ac9193d20e40",
+        "eval-speaker/report.json":
+            "e3baecdc6313a6e4b270a2d085d686f3425cef5d9b192dfdc61c8263f6020196",
+        "eval-speaker/report.csv":
+            "6509fc9cc606af328d0fd9b9dc2b77eb3c08cb7d82f538ee9b7403ed4ff97cb4",
+        "eval-listener/report.json":
+            "9408e114363dd9fa59384acfd3009f508862fd5a6f507e8a8a62df88e546e391",
+        "eval-listener/report.csv":
+            "79c6abcb5493f774c2a411b70a15877ae9dac7a67d9744e4bf87fc45001a62f6",
+    },
+    "sm2x2-eps0.1": {
+        "gen-community/community.json":
+            "3393aec27cd47bac708ad1212004d147b9bc3a59420528bcb1e29ad4b248d993",
+        "collect/dataset.jsonl":
+            "013ccb17abf09bca62e5f578a90dfdca64488568d5ee8c6d881e0dab4a4953d7",
+        "fit-broca/broca.json":
+            "820c64015f64a1e3eb19c2d6718d5d3390f470d5280d555d21fbb4bed5cb8546",
+        "fit-wernicke/wernicke.json":
+            "bd9b177234720e387c25f6d697aecfced7f2c8594a8d4fafc8723b084210baac",
+        "detect/report.json":
+            "cc5d5b4bbff0a1a38e9cee2393aa1dec5cda55cb9b1c8286c1b5e7d77bbf7ddf",
+        "eval-speaker/report.json":
+            "78b121eccd7f251e97a3235e28f6f4bab391c866356f72d7dc605bc29968b530",
+        "eval-speaker/report.csv":
+            "167bcf996bd7b62396bc848cc56d7fd93d2333b30c6e219f588260f48f64aa09",
+        "eval-listener/report.json":
+            "c596d8239a2d93c012462d441336a21f7fceb88ef519d8d03f3bbea9de352bd7",
+        "eval-listener/report.csv":
+            "5c1e477f19b598a409e3a35b78efca6331076c2d9f01dcbcc9baa7b1fb30cfd1",
+    },
+}
+
+
+def run_pipeline(config: dict, tmp_path) -> dict[str, str]:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    digests = {}
+    for command, files in PIPELINE:
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--canonical"]) == EXIT_OK
+        for name in files:
+            digests[f"{command}/{name}"] = hashlib.sha256(
+                (out / name).read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifact_bytes_are_pinned(name, tmp_path, capsys):
+    assert run_pipeline(CONFIGS[name], tmp_path) == DIGESTS[name]

@@ -123,6 +123,17 @@ class TestErrorHandling:
         assert run("gen-community", "--config", config_path) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    def test_unknown_wernicke_label_is_config_error(self, config_path,
+                                                    tmp_path, capsys):
+        assert run("collect", "--config", config_path, "--canonical") == EXIT_OK
+        assert run("fit-wernicke", "--config", config_path) == EXIT_OK
+        path = tmp_path / "out" / "wernicke.json"
+        model = json.loads(path.read_text())
+        next(iter(model["table"].values()))["start::pick9"] = 1
+        path.write_text(json.dumps(model))
+        assert run("eval-listener", "--config", config_path) == EXIT_CONFIG
+        assert "start::pick9" in capsys.readouterr().err
+
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("collect", "--help")

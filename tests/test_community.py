@@ -273,3 +273,77 @@ class TestTables:
         listener = ListenerPolicy(codebook={"a": ("jump",)}, epsilon=0.0)
         with pytest.raises(InvalidActionError):
             rollout(lewis3, listener, Message(("a",)), np.random.default_rng(0))
+
+
+class TestFrozenPolicies:
+    def test_listener_epsilon_cannot_change_after_a_query(self, lewis3):
+        import dataclasses
+        listener = ListenerPolicy(codebook={"a": ("pick0",)}, epsilon=0.0)
+        a = Message(("a",))
+        listener_traj_dist(listener, lewis3, a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            listener.epsilon = 0.3
+        assert list(listener_traj_dist(listener, lewis3, a).values()) \
+            == [1.0, 0.0, 0.0]
+
+    def test_listener_codebook_is_read_only(self, lewis3):
+        codebook = {"a": ("pick0",)}
+        listener = ListenerPolicy(codebook=codebook, epsilon=0.0)
+        a = Message(("a",))
+        listener_traj_dist(listener, lewis3, a)
+        with pytest.raises(TypeError):
+            listener.codebook["a"] = ("pick1",)
+        codebook["a"] = ("pick1",)  # the listener holds its own copy
+        assert listener.plan_for(a) == ("pick0",)
+        assert list(listener_traj_dist(listener, lewis3, a).values()) \
+            == [1.0, 0.0, 0.0]
+
+    def test_speaker_temperature_cannot_change_after_a_query(
+            self, lewis3, codebook_listener):
+        import dataclasses
+        speaker = SpeakerPolicy(listener_ref=codebook_listener, temp_msg=1.0)
+        target = enumerate_trajectories(lewis3)[0]
+        _, before = speaker_message_dist(speaker, lewis3, target)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            speaker.temp_msg = 0.01
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            speaker.listener_ref = ListenerPolicy(codebook={})
+        _, after = speaker_message_dist(speaker, lewis3, target)
+        assert np.array_equal(before, after)
+
+    def test_replaced_speaker_gets_fresh_rows(self, lewis3, codebook_listener):
+        import dataclasses
+        speaker = SpeakerPolicy(listener_ref=codebook_listener, temp_msg=1.0)
+        target = enumerate_trajectories(lewis3)[0]
+        _, warm = speaker_message_dist(speaker, lewis3, target)
+        cold = dataclasses.replace(speaker, temp_msg=0.1)
+        _, probs = speaker_message_dist(cold, lewis3, target)
+        assert probs.max() > warm.max()
+        rng = np.random.default_rng(0)
+        draws = {speaker_sample(cold, lewis3, target, rng).canonical()
+                 for _ in range(200)}
+        assert draws == {"a"}
+
+
+class TestSampler:
+    """The CDF draw is numpy's Generator.choice(n, p=p), bit for bit."""
+
+    @staticmethod
+    def vectors(n, rng):
+        flat = np.full(n, 1.0 / n)
+        peaked = np.exp(-40.0 * rng.random(n))
+        with_zeros = rng.random(n) * (rng.random(n) < 0.5)
+        with_zeros[rng.integers(n)] = 1.0
+        return [flat, peaked / peaked.sum(), with_zeros / with_zeros.sum()]
+
+    def test_cdf_draw_matches_generator_choice(self):
+        from cooplang.community import _cdf, _draw
+        for n in range(1, 131):
+            for p in self.vectors(n, np.random.default_rng(n)):
+                cdf = _cdf(p)
+                for seed in range(6):
+                    ours = np.random.default_rng([seed, n])
+                    numpy = np.random.default_rng([seed, n])
+                    for _ in range(3):
+                        assert _draw(cdf, ours) == int(numpy.choice(n, p=p))
+                    assert ours.random() == numpy.random()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -196,3 +197,72 @@ class TestGameJson:
             seen.setdefault(state_digest(sm_2x2, state), state)
         for digest, state in seen.items():
             assert state_digest(sm_2x2, state) == digest
+
+
+class TestFrozenGame:
+    # the benchmark's games, as their configs give them
+    LEWIS_4 = {
+        "kind": "lewis", "vocab": ["a", "b", "c", "d"], "max_msg_len": 2,
+        "horizon": 1, "gamma": 1.0, "reward_params": {"pick_reward": 1.0},
+        "layout": {"candidates": ["cand0", "cand1", "cand2", "cand3"],
+                   "target": 0},
+    }
+    SUPERMARKET_2X2 = {
+        "kind": "supermarket", "vocab": ["a", "b", "c"], "max_msg_len": 2,
+        "horizon": 2, "gamma": 1.0,
+        "reward_params": {"step_penalty": -0.05, "item_reward": 1.0},
+        "layout": {"width": 2, "height": 2, "items": {"milk": [1, 1]},
+                   "shopping_list": ["milk"], "start": [0, 0]},
+    }
+    SUPERMARKET_3X3 = {
+        "kind": "supermarket",
+        "vocab": ["a", "b", "c", "d", "e", "f", "g", "h"],
+        "max_msg_len": 2, "horizon": 3, "gamma": 1.0,
+        "reward_params": {"step_penalty": -0.05, "item_reward": 1.0},
+        "layout": {"width": 3, "height": 3,
+                   "items": {"milk": [0, 1], "bread": [2, 2]},
+                   "shopping_list": ["milk", "bread"], "start": [0, 0]},
+    }
+
+    def test_fields_cannot_be_assigned(self, lewis3):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lewis3.horizon = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lewis3.fingerprint = "0" * 16
+
+    def test_layout_and_rewards_are_read_only(self, lewis3, sm_3x3):
+        with pytest.raises(TypeError):
+            lewis3.layout["target"] = 1
+        with pytest.raises(TypeError):
+            lewis3.reward_params["pick_reward"] = 2.0
+        with pytest.raises(TypeError):
+            sm_3x3.layout["items"]["milk"] = (1, 1)
+        assert isinstance(sm_3x3.layout["shopping_list"], tuple)
+
+    def test_input_mappings_are_copied(self):
+        layout = {"candidates": ["x", "y"], "target": 0}
+        game = GameSpec(kind="lewis", vocab=("a",), max_msg_len=1, horizon=1,
+                        gamma=1.0, reward_params={"pick_reward": 1.0},
+                        layout=layout)
+        fp = game_fingerprint(game)
+        layout["candidates"].append("z")
+        assert game.layout["candidates"] == ("x", "y")
+        assert game_fingerprint(game) == fp
+
+    def test_json_round_trip_is_equal(self, lewis3, sm_3x3):
+        for game in (lewis3, sm_3x3):
+            doc = json.loads(json.dumps(game.to_json_dict()))
+            assert GameSpec.from_json_dict(doc) == game
+
+    def test_replace_recomputes_the_fingerprint(self, lewis3):
+        changed = dataclasses.replace(lewis3, gamma=0.5)
+        assert game_fingerprint(changed) != game_fingerprint(lewis3)
+        assert game_fingerprint(changed) == game_fingerprint(
+            lewis_game(gamma=0.5))
+
+    def test_fingerprints_are_pinned(self):
+        assert game_fingerprint(lewis_game()) == "82959ab911cb0bbf"
+        for doc, fp in ((self.LEWIS_4, "190c33550a6ccfeb"),
+                        (self.SUPERMARKET_2X2, "25e6ce2699d86358"),
+                        (self.SUPERMARKET_3X3, "10eeb57d5dadbadb")):
+            assert game_fingerprint(GameSpec.from_json_dict(doc)) == fp

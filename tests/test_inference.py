@@ -298,6 +298,19 @@ class TestModelSerialization:
             msg = Message.from_canonical(canon)
             assert wernicke_decode(back, msg) == wernicke_decode(model, msg)
 
+    def test_wernicke_labels_must_be_trajectories(self,
+                                                  noiseless_lewis_community):
+        com = noiseless_lewis_community
+        dataset = collect(com, 50, master_seed=3)
+        doc = fit_wernicke(dataset, com.game, MapConfig()).to_json_dict()
+        hist = next(iter(doc["table"].values()))
+        hist["start::pick9"] = 1
+        with pytest.raises(ConfigError, match="start::pick9"):
+            WernickeModel.from_json_dict(doc, com.game)
+        doc["table"] = {"a": ["start::pick0"]}
+        with pytest.raises(ConfigError):
+            WernickeModel.from_json_dict(doc, com.game)
+
     def test_fingerprint_mismatch_rejected(self, lewis3, sm_2x2,
                                            noiseless_lewis_community):
         dataset = collect(noiseless_lewis_community, 20, master_seed=0)
