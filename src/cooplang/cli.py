@@ -22,9 +22,8 @@ import numpy as np
 
 from . import data
 from .community import (
-    Community,
+    NULL_MESSAGE,
     CommunityConfig,
-    Message,
     build_community,
     enumerate_messages,
     save_community,
@@ -55,8 +54,7 @@ EXIT_MODULE = 4
 
 CONFIG_ENV_VAR = "COOPLANG_CONFIG"
 
-INFERENCE_DEFAULTS = {"alpha": 1.0, "variant": "literal", "smoothing": 0.0,
-                      "backoff": 0.5}
+INFERENCE_DEFAULTS = {"alpha": 1.0, "variant": "literal", "backoff": 0.5}
 RUN_DEFAULTS = {"n_episodes": 100, "seed": 0, "out": "out"}
 
 ARTIFACTS = {
@@ -88,9 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}")
         try:
             game = GameSpec.from_json_dict(doc["game"])
-            community = CommunityConfig.from_dict(
-                {"game": doc["game"], **doc.get("community", {})}
-            )
+            # one GameSpec object, so a command builds one table per game
+            community = CommunityConfig(game=game, **doc.get("community", {}))
             inference = _section(doc, "inference", INFERENCE_DEFAULTS)
             distances = DistanceConfig(**doc.get("distances", {}))
             run = _section(doc, "run", RUN_DEFAULTS)
@@ -153,7 +150,7 @@ def cmd_collect(cfg: ExperimentConfig, args) -> str:
 def cmd_fit_broca(cfg: ExperimentConfig, args) -> str:
     out = _out_dir(cfg, args)
     dataset = _load_dataset(out, cfg.game)
-    model = fit_broca(dataset, cfg.game, smoothing=cfg.inference["smoothing"])
+    model = fit_broca(dataset, cfg.game)
     path = out / ARTIFACTS["broca"]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model.to_json_dict(), fh, sort_keys=True, indent=2)
@@ -243,17 +240,14 @@ def cmd_oracle_check(cfg: ExperimentConfig, args) -> str:
     trajs = enumerate_trajectories(game)
     rng = np.random.default_rng(_seed(cfg, args))
     passed = failed = 0
-
-    @dataclass
-    class FakeRecord:
-        message: Message
-        trajectory: object
-
     for _ in range(100):
         observed = trajs[int(rng.integers(len(trajs)))]
         alpha = float(10 ** rng.uniform(-3, 3))
         map_cfg = MapConfig(alpha=alpha, variant="literal")
-        got = map_target(FakeRecord(Message(()), observed), game, map_cfg)
+        record = data.InteractionRecord(
+            message=NULL_MESSAGE, trajectory=observed, hidden_target=None,
+            episode_seed=0, speaker_id="", listener_id="")
+        got = map_target(record, game, map_cfg)
         scores = [
             (trajectory_return(t, game.gamma)
              - alpha * trajectory_distance(t, observed),

@@ -30,7 +30,7 @@ from .games import (
     game_fingerprint,
     step,  # not called here; perfbench tests patch this binding
 )
-from .tables import GameTable, listener_table
+from .tables import listener_table
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,14 @@ def validate_message(game: GameSpec, message: Message) -> None:
         raise ConfigError(f"tokens {bad} not in vocab")
 
 
-def enumerate_messages(
-    game: GameSpec, include_null: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[Message]:
+def enumerate_messages(game: GameSpec,
+                       include_null: bool = False) -> list[Message]:
     """All messages of length 1..L in (length, lexicographic) order."""
     toks = sorted(game.vocab)
     total = sum(len(toks) ** n for n in range(1, game.max_msg_len + 1))
-    if total > cap:
-        raise EnumerationCapError(total, cap, what="messages")
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(total, DEFAULT_ENUMERATION_CAP,
+                                  what="messages")
     msgs: list[Message] = [NULL_MESSAGE] if include_null else []
     for length in range(1, game.max_msg_len + 1):
         msgs.extend(Message(combo) for combo in itertools.product(toks, repeat=length))
@@ -125,23 +124,21 @@ class SpeakerPolicy:
 
     listener_ref: ListenerPolicy
     temp_msg: float = 1.0
-    temp_target: float = 1.0
     greedy_msg: bool = False
-    greedy_target: bool = False
     # (game fingerprint, target key) -> (messages, distances, message CDF)
     _dist_cache: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self):
-        if self.temp_msg <= 0 or self.temp_target <= 0:
-            raise ConfigError("temperatures must be positive")
+        if self.temp_msg <= 0:
+            raise ConfigError("temp_msg must be > 0")
 
 
 def rollout(game: GameSpec, listener: ListenerPolicy, message: Message,
             rng: np.random.Generator) -> Trajectory:
     """Sample one listener trajectory given a message."""
     validate_message(game, message)
-    table = listener_table(listener, game).game
+    table = game.table
     plan = listener.plan_for(message)
     actions = table.env_actions
     path: tuple[str, ...] = ()
@@ -160,7 +157,6 @@ def rollout(game: GameSpec, listener: ListenerPolicy, message: Message,
 
 def listener_traj_dist(
     listener: ListenerPolicy, game: GameSpec, message: Message,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict[Trajectory, float]:
     """Exact trajectory distribution of the listener's noised plan execution.
 
@@ -168,7 +164,7 @@ def listener_traj_dist(
     probabilities multiply out to a distribution summing to 1.
     """
     validate_message(game, message)
-    table = listener_table(listener, game, cap=cap)
+    table = listener_table(listener, game)
     return table.dist(table.row(message))
 
 
@@ -185,6 +181,14 @@ class CommunityConfig:
     greedy_msg: bool = False
     greedy_target: bool = False
     codebook_k: int = 64
+
+    def __post_init__(self):
+        for name in ("n_speakers", "n_listeners", "codebook_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("temp_msg", "temp_target"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
 
     def to_dict(self) -> dict:
         return {
@@ -213,14 +217,12 @@ class Community:
     listeners: list[ListenerPolicy]
     seed: int
     config: CommunityConfig
-    table: GameTable | None = field(default=None, repr=False)
     _prior: np.ndarray = field(init=False, repr=False)
     _prior_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.table is None:
-            self.table = GameTable(self.game)
-        self._prior = _boltzmann(self.table.values, self.config.temp_target)
+        self._prior = _boltzmann(self.game.table.values,
+                                 self.config.temp_target)
         self._prior_cdf = _cdf(self._prior)
 
     @property
@@ -228,10 +230,10 @@ class Community:
         return self.listeners[0].codebook
 
     def trajectories(self) -> list[Trajectory]:
-        return self.table.trajs
+        return self.game.table.trajs
 
     def trajectory_values(self) -> np.ndarray:
-        return self.table.values
+        return self.game.table.values
 
     def prior_probs(self) -> np.ndarray:
         """Boltzmann prior over enumerated trajectories, exp(V / temp_target)."""
@@ -245,7 +247,7 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
     supermarket) gets distinct messages assigned by a seeded permutation.
     """
     game = config.game
-    table = GameTable(game)
+    table = game.table
     trajs = table.trajs
     if game.kind == "lewis":
         cover = list(trajs)
@@ -272,20 +274,16 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
         ListenerPolicy(codebook=dict(codebook), epsilon=config.epsilon)
         for _ in range(config.n_listeners)
     ]
-    for listener in listeners:  # share the game part
-        listener_table(listener, game, table.fp, table)
     speakers = [
         SpeakerPolicy(
             listener_ref=listeners[0],
             temp_msg=config.temp_msg,
-            temp_target=config.temp_target,
             greedy_msg=config.greedy_msg,
-            greedy_target=config.greedy_target,
         )
         for _ in range(config.n_speakers)
     ]
     return Community(game=game, speakers=speakers, listeners=listeners,
-                     seed=seed, config=config, table=table)
+                     seed=seed, config=config)
 
 
 def target_prior_sample(community: Community,
@@ -331,7 +329,7 @@ def _speaker_table(
     fp = game_fingerprint(game)
     cached = speaker._dist_cache.get((fp, target.canonical_key))
     if cached is None:
-        table = listener_table(speaker.listener_ref, game, fp)
+        table = listener_table(speaker.listener_ref, game)
         mstar = table.row(table.optimal_message(target))
         dists = table.distances(mstar, table.message_rows[1:], DistanceConfig())
         cached = speaker._dist_cache[fp, target.canonical_key] = (

@@ -18,6 +18,7 @@ from .community import (
     rollout,
     speaker_sample,
     target_prior_sample,
+    validate_message,
 )
 from .errors import (
     ConfigError,
@@ -102,14 +103,19 @@ def _traj_to_json(tau: Trajectory | None):
     }
 
 
-def _traj_from_json(doc, fp: str) -> Trajectory | None:
+def _traj_from_json(doc, fp: str, game: GameSpec | None) -> Trajectory | None:
+    """The stored trajectory; given a game, the game table's own one."""
     if doc is None:
         return None
-    return Trajectory(
-        steps=tuple((s, a, r) for s, a, r in doc["steps"]),
-        canonical_key=doc["canonical_key"],
-        game_fingerprint=fp,
-    )
+    steps = tuple((s, a, r) for s, a, r in doc["steps"])
+    key = doc["canonical_key"]
+    if game is None:
+        return Trajectory(steps=steps, canonical_key=key, game_fingerprint=fp)
+    table = game.table
+    i = table.key_index.get(key)
+    if i is None or table.trajs[i].steps != steps:
+        raise ValueError(f"{key!r} is not a trajectory of the game")
+    return table.trajs[i]
 
 
 def _dumps(doc: dict) -> str:
@@ -137,7 +143,11 @@ def save(dataset: InteractionDataset, path) -> None:
 
 
 def load(path, game: GameSpec | None = None) -> InteractionDataset:
-    """Parse a JSONL dataset; optionally check it against a game."""
+    """Parse a JSONL dataset; optionally check it against a game.
+
+    Given a game, every message must be a message of the game and every
+    trajectory one of its table, steps included.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -168,15 +178,19 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             doc = json.loads(line)
+            message = Message(tuple(doc["message"]))
+            if game is not None:
+                validate_message(game, message)
             records.append(InteractionRecord(
-                message=Message(tuple(doc["message"])),
-                trajectory=_traj_from_json(doc["trajectory"], fp),
-                hidden_target=_traj_from_json(doc["hidden_target"], fp),
+                message=message,
+                trajectory=_traj_from_json(doc["trajectory"], fp, game),
+                hidden_target=_traj_from_json(doc["hidden_target"], fp, game),
                 episode_seed=doc["episode_seed"],
                 speaker_id=doc["speaker_id"],
                 listener_id=doc["listener_id"],
             ))
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        # JSONDecodeError is a ValueError; validate_message raises ConfigError
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DatasetParseError(lineno, str(exc)) from exc
     return InteractionDataset(game_fingerprint=fp, records=records,
                               meta=header.get("meta", {}))

@@ -13,6 +13,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import (
@@ -51,7 +52,8 @@ class GameSpec:
 
     reward_params and layout are stored read-only (mappings as mapping
     proxies, lists as tuples), so the fingerprint, computed once from the
-    canonical JSON form, cannot go stale.
+    canonical JSON form, and the table, built on first use, cannot go
+    stale.
     """
 
     kind: str
@@ -73,7 +75,13 @@ class GameSpec:
         object.__setattr__(self, "fingerprint",
                            hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
 
-    def validate(self, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    @cached_property
+    def table(self):
+        """The game's GameTable: trajectory ids, returns and edit distances."""
+        from .tables import GameTable  # tables imports this module
+        return GameTable(self)
+
+    def validate(self) -> None:
         if self.kind not in ("lewis", "supermarket"):
             raise ConfigError(f"unknown game kind {self.kind!r}")
         if not self.vocab:
@@ -82,10 +90,10 @@ class GameSpec:
             raise ConfigError("vocab tokens must be distinct")
         if self.max_msg_len < 1:
             raise ConfigError("max_msg_len must be >= 1")
-        if len(self.vocab) ** self.max_msg_len > enumeration_cap:
+        if len(self.vocab) ** self.max_msg_len > DEFAULT_ENUMERATION_CAP:
             raise ConfigError(
                 f"|vocab|^L = {len(self.vocab) ** self.max_msg_len} exceeds "
-                f"enumeration cap {enumeration_cap}"
+                f"enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
         if self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
@@ -110,19 +118,18 @@ class GameSpec:
                 if key not in self.layout:
                     raise ConfigError(f"supermarket layout needs {key}")
             items = self.layout["items"]
-            cells = [tuple(c) for c in items.values()]
-            if len(set(cells)) != len(cells):
+            if not isinstance(items, Mapping):
+                raise ConfigError("supermarket items must map names to cells")
+            for name, cell in items.items():
+                if not _in_grid(cell, w, h):
+                    raise ConfigError(f"item {name!r} is not on an [x, y] grid cell")
+            if len(set(items.values())) != len(items):
                 raise ConfigError("supermarket items must occupy distinct cells")
-            for name, (x, y) in items.items():
-                if not (0 <= x < w and 0 <= y < h):
-                    raise ConfigError(f"item {name!r} cell out of grid bounds")
             for name in self.layout["shopping_list"]:
                 if name not in items:
                     raise ConfigError(f"shopping list item {name!r} not on the map")
-            sx, sy = self.layout.get("start", (None, None))
-            if not (isinstance(sx, int) and isinstance(sy, int)
-                    and 0 <= sx < w and 0 <= sy < h):
-                raise ConfigError("supermarket start cell out of grid bounds")
+            if not _in_grid(self.layout.get("start"), w, h):
+                raise ConfigError("supermarket start is not an [x, y] grid cell")
             for key in ("step_penalty", "item_reward"):
                 if key not in self.reward_params:
                     raise ConfigError(f"supermarket reward_params needs {key}")
@@ -167,6 +174,13 @@ class GameSpec:
             reward_params=dict(doc["reward_params"]),
             layout=dict(doc["layout"]),
         )
+
+
+def _in_grid(cell, width: int, height: int) -> bool:
+    """Is cell a pair of ints (x, y) inside a width x height grid?"""
+    return (isinstance(cell, tuple) and len(cell) == 2
+            and all(isinstance(v, int) for v in cell)
+            and 0 <= cell[0] < width and 0 <= cell[1] < height)
 
 
 def _freeze(value):
@@ -264,7 +278,6 @@ def is_terminal(game: GameSpec, state) -> bool:
 class StepOutcome:
     next_state: tuple
     reward: float
-    observation: str
 
 
 _MOVES = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
@@ -280,28 +293,23 @@ def step(game: GameSpec, state, action: str) -> StepOutcome:
     if game.kind == "lewis":
         k = int(action[len("pick"):])
         reward = game.reward_params["pick_reward"] if k == game.layout["target"] else 0.0
-        nxt = ("picked", k)
-        return StepOutcome(nxt, reward, state_digest(game, nxt))
+        return StepOutcome(("picked", k), reward)
 
     x, y, collected = state
     if action in _MOVES:
         dx, dy = _MOVES[action]
         nx = min(max(x + dx, 0), game.layout["width"] - 1)
         ny = min(max(y + dy, 0), game.layout["height"] - 1)
-        nxt = (nx, ny, collected)
-        return StepOutcome(nxt, game.reward_params["step_penalty"],
-                           state_digest(game, nxt))
+        return StepOutcome((nx, ny, collected), game.reward_params["step_penalty"])
 
     # pick: collects an uncollected listed item on this cell, else a no-op step
     listed = set(game.layout["shopping_list"])
     here = [name for name, cell in game.layout["items"].items()
             if cell == (x, y) and name in listed and name not in collected]
     if here:
-        nxt = (x, y, collected | {min(here)})
-        return StepOutcome(nxt, game.reward_params["item_reward"],
-                           state_digest(game, nxt))
-    return StepOutcome(state, game.reward_params["step_penalty"],
-                       state_digest(game, state))
+        return StepOutcome((x, y, collected | {min(here)}),
+                           game.reward_params["item_reward"])
+    return StepOutcome(state, game.reward_params["step_penalty"])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ decoders can be checked exactly against brute force.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +26,7 @@ from .errors import (
     FingerprintMismatchError,
     ForeignGameRecordError,
 )
-from .games import (
-    GameSpec,
-    Trajectory,
-    enumerate_trajectories,
-    final_state,
-    game_fingerprint,
-    trajectory_return,
-)
+from .games import GameSpec, Trajectory, final_state, game_fingerprint
 from .semantics import DistanceConfig, message_distance
 from .tables import GameTable, listener_table
 
@@ -90,7 +82,7 @@ def map_target(record, game: GameSpec, cfg: MapConfig,
     then canonical-key order.
     """
     _require_listener_model(cfg, listener_model)
-    table = GameTable(game)
+    table = game.table
     return table.trajs[_map_index(table, record, cfg, listener_model)]
 
 
@@ -141,32 +133,33 @@ class BrocaModel:
     game: GameSpec
     table: dict[str, dict[str, int]]
     backoff_table: dict[str, dict[str, int]]
-    smoothing: float = 0.0
-    game_fp: str = ""
-
-    def __post_init__(self):
-        if not self.game_fp:
-            self.game_fp = game_fingerprint(self.game)
 
     def to_json_dict(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "broca",
-            "game_fingerprint": self.game_fp,
-            "smoothing": self.smoothing,
+            "game_fingerprint": game_fingerprint(self.game),
+            # a constant of the v1 format: the pinned artifact digests and
+            # older loaders expect the key; the loader ignores it
+            "smoothing": 0.0,
             "table": self.table,
             "backoff_table": self.backoff_table,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict, game: GameSpec) -> "BrocaModel":
-        _check_model_doc(doc, "broca", game)
+        _check_model_doc(doc, "broca", game, ("table", "backoff_table"))
         return cls(game=game, table=doc["table"],
-                   backoff_table=doc["backoff_table"],
-                   smoothing=doc["smoothing"])
+                   backoff_table=doc["backoff_table"])
 
 
-def _check_model_doc(doc: dict, kind: str, game: GameSpec) -> None:
+def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
+    """Reject a model document that is not a v1 `kind` model of this game.
+
+    tables names the keys that must map strings to dicts of int counts.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a {kind} model must be a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model format {doc.get('format_version')}")
     if doc.get("kind") != kind:
@@ -176,6 +169,13 @@ def _check_model_doc(doc: dict, kind: str, game: GameSpec) -> None:
             f"model was fitted on game {doc.get('game_fingerprint')}, "
             f"got {game_fingerprint(game)}"
         )
+    for key in tables:
+        table = doc.get(key)
+        if not (isinstance(table, dict)
+                and all(isinstance(h, dict)
+                        and all(isinstance(c, int) for c in h.values())
+                        for h in table.values())):
+            raise ConfigError(f"{kind} {key} must map keys to count tables")
 
 
 def _public_records(dataset, game: GameSpec):
@@ -195,10 +195,8 @@ def _public_records(dataset, game: GameSpec):
     return public.records
 
 
-def fit_broca(dataset, game: GameSpec, smoothing: float = 0.0) -> BrocaModel:
+def fit_broca(dataset, game: GameSpec) -> BrocaModel:
     """Count messages per observed trajectory, exact key plus backoff."""
-    if smoothing < 0:
-        raise ConfigError("smoothing must be >= 0")
     table: dict[str, dict[str, int]] = {}
     backoff: dict[str, dict[str, int]] = {}
     for rec in _public_records(dataset, game):
@@ -209,8 +207,7 @@ def fit_broca(dataset, game: GameSpec, smoothing: float = 0.0) -> BrocaModel:
         feat = coarse_feature(game, rec.trajectory)
         backoff.setdefault(feat, {})
         backoff[feat][msg] = backoff[feat].get(msg, 0) + 1
-    return BrocaModel(game=game, table=table, backoff_table=backoff,
-                      smoothing=smoothing)
+    return BrocaModel(game=game, table=table, backoff_table=backoff)
 
 
 def broca_emit(model: BrocaModel, target: Trajectory) -> Message:
@@ -235,29 +232,22 @@ class WernickeModel:
     table: dict[str, dict[str, int]]
     alpha: float
     backoff: float = 0.5
-    game_fp: str = ""
-    _traj_index: dict[str, Trajectory] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
         if not 0.0 <= self.backoff <= 1.0:
             raise ConfigError("backoff threshold must lie in [0, 1]")
-        if not self.game_fp:
-            self.game_fp = game_fingerprint(self.game)
-        if not self._traj_index:
-            self._traj_index = {
-                t.canonical_key: t for t in enumerate_trajectories(self.game)
-            }
 
     def value_of(self, key: str) -> float:
-        return trajectory_return(self._traj_index[key], self.game.gamma)
+        table = self.game.table
+        return float(table.values[table.key_index[key]])
 
     def to_json_dict(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "wernicke",
-            "game_fingerprint": self.game_fp,
+            "game_fingerprint": game_fingerprint(self.game),
             "alpha": self.alpha,
             "backoff": self.backoff,
             "table": self.table,
@@ -266,19 +256,18 @@ class WernickeModel:
     @classmethod
     def from_json_dict(cls, doc: dict, game: GameSpec) -> "WernickeModel":
         """Load a model; every label must be a trajectory of the game."""
-        _check_model_doc(doc, "wernicke", game)
+        _check_model_doc(doc, "wernicke", game, ("table",))
+        for key in ("alpha", "backoff"):
+            if not isinstance(doc.get(key), (int, float)):
+                raise ConfigError(f"wernicke {key} must be a number")
         table = doc["table"]
-        if not (isinstance(table, dict)
-                and all(isinstance(h, dict) for h in table.values())):
-            raise ConfigError("wernicke table must map messages to label counts")
-        model = cls(game=game, table=table, alpha=doc["alpha"],
-                    backoff=doc["backoff"])
         unknown = sorted({key for hist in table.values() for key in hist}
-                         - model._traj_index.keys())
+                         - game.table.key_index.keys())
         if unknown:
             raise ConfigError(
                 f"wernicke labels are not trajectories of the game: {unknown}")
-        return model
+        return cls(game=game, table=table, alpha=doc["alpha"],
+                   backoff=doc["backoff"])
 
 
 def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
@@ -290,7 +279,7 @@ def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
     """
     records = _public_records(dataset, game)
     _require_listener_model(cfg, listener_model)
-    game_table = GameTable(game)
+    game_table = game.table
     table: dict[str, dict[str, int]] = {}
     labels: dict = {}
     for rec in records:
@@ -331,5 +320,7 @@ def wernicke_decode(model: WernickeModel, message: Message) -> Trajectory:
             for key, count in h.items():
                 merged[key] = merged.get(key, 0) + count
         key = min(merged, key=lambda k: (-model.value_of(k), k))
-        return model._traj_index[key]
-    return model._traj_index[_argmax_label(model, hist)]
+    else:
+        key = _argmax_label(model, hist)
+    table = model.game.table
+    return table.trajs[table.key_index[key]]

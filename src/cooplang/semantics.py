@@ -37,7 +37,6 @@ DEFAULT_WASSERSTEIN_SUPPORT_CAP = 512
 
 @dataclass
 class DistanceConfig:
-    traj_metric: str = "action_edit"
     dist_lift: str = "wasserstein1"
     listening_epsilon: float = 1e-6
     signalling_alpha: float = 0.05
@@ -45,8 +44,6 @@ class DistanceConfig:
     wasserstein_support_cap: int = DEFAULT_WASSERSTEIN_SUPPORT_CAP
 
     def __post_init__(self):
-        if self.traj_metric != "action_edit":
-            raise ConfigError(f"unknown traj_metric {self.traj_metric!r}")
         if self.dist_lift not in ("wasserstein1", "total_variation"):
             raise ConfigError(f"unknown dist_lift {self.dist_lift!r}")
         if self.listening_epsilon <= 0:

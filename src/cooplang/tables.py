@@ -9,9 +9,9 @@ per target and, per distance lift, a plan x plan semantic matrix S filled
 lazily. Every entry is computed by the same function the dict-based public
 API uses, so lookups return the same bits.
 
-Tables hang off the objects that own their inputs: a listener keeps its
-tables in `_dist_cache`, keyed by game fingerprint; a community and a fit
-call build their own GameTable.
+Tables hang off the objects that own their inputs: a game builds its
+GameTable on first use (`GameSpec.table`), and a listener keeps its
+ListenerTables in `_dist_cache`, keyed by game fingerprint.
 """
 
 from __future__ import annotations
@@ -22,23 +22,22 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .games import (
-    DEFAULT_ENUMERATION_CAP,
     GameSpec,
     Trajectory,
     enumerate_trajectories,
-    game_fingerprint,
     trajectory_return,
 )
 
 
 class GameTable:
-    """Trajectories as integer ids, their returns, and edit distances."""
+    """Trajectories as integer ids, their returns, and edit distances.
 
-    def __init__(self, game: GameSpec, fp: str | None = None,
-                 cap: int = DEFAULT_ENUMERATION_CAP):
+    Build it through `game.table`, so that a game is enumerated once.
+    """
+
+    def __init__(self, game: GameSpec):
         self.game = game
-        self.fp = fp or game_fingerprint(game)
-        self.trajs = enumerate_trajectories(game, cap)
+        self.trajs = enumerate_trajectories(game)
         self.index = {t.actions: i for i, t in enumerate(self.trajs)}
         self.key_index = {t.canonical_key: i for i, t in enumerate(self.trajs)}
         self.values = np.array([trajectory_return(t, game.gamma)
@@ -66,7 +65,7 @@ class GameTable:
 
     def column(self, tau: Trajectory) -> np.ndarray:
         """Distances from every trajectory to tau, which need not be enumerated."""
-        if tau.game_fingerprint != self.fp:
+        if tau.game_fingerprint != self.game.fingerprint:
             raise DomainMismatchError("trajectories belong to different games")
         i = self.index.get(tau.actions)
         if i is not None:
@@ -171,14 +170,10 @@ def _plan_probs(game: GameTable, plans, listener) -> np.ndarray:
     return probs
 
 
-def listener_table(listener, game: GameSpec, fp: str | None = None,
-                   game_table: GameTable | None = None,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> ListenerTable:
+def listener_table(listener, game: GameSpec) -> ListenerTable:
     """The listener's table for this game, built on first use."""
-    if fp is None:
-        fp = game_fingerprint(game)
-    table = listener._dist_cache.get(fp)
+    table = listener._dist_cache.get(game.fingerprint)
     if table is None:
-        table = listener._dist_cache[fp] = ListenerTable(
-            game_table or GameTable(game, fp, cap), listener)
+        table = listener._dist_cache[game.fingerprint] = ListenerTable(
+            game.table, listener)
     return table

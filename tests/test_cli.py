@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from cooplang import lewis_game
-from cooplang.cli import EXIT_CONFIG, EXIT_OK, main
+from cooplang import lewis_game, supermarket_game
+from cooplang.cli import EXIT_CONFIG, EXIT_MODULE, EXIT_OK, main
 
 
 @pytest.fixture
@@ -22,6 +22,22 @@ def config_path(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def edit_config(config_path, edit):
+    path = Path(config_path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 class TestSubcommands:
@@ -113,12 +129,14 @@ class TestErrorHandling:
         assert run("gen-community") == EXIT_OK
 
     @pytest.mark.parametrize("section,key", [("inference", "alpah"),
-                                             ("run", "n_epsiodes")])
+                                             ("run", "n_epsiodes"),
+                                             ("inference", "smoothing"),
+                                             ("distances", "traj_metric")])
     def test_unknown_section_key_is_config_error(self, config_path, capsys,
                                                  section, key):
         path = Path(config_path)
         doc = json.loads(path.read_text())
-        doc[section][key] = 5.0
+        doc.setdefault(section, {})[key] = 5.0
         path.write_text(json.dumps(doc))
         assert run("gen-community", "--config", config_path) == EXIT_CONFIG
         assert key in capsys.readouterr().err
@@ -133,6 +151,79 @@ class TestErrorHandling:
         path.write_text(json.dumps(model))
         assert run("eval-listener", "--config", config_path) == EXIT_CONFIG
         assert "start::pick9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,community", [
+        ("collect", {"n_speakers": 0}),
+        ("gen-community", {"temp_target": 0, "n_speakers": 0}),
+        ("gen-community", {"n_listeners": 0}),
+        ("gen-community", {"codebook_k": 0}),
+        ("gen-community", {"temp_msg": -1.0}),
+    ])
+    def test_bad_community_value_is_config_error(self, config_path, capsys,
+                                                 command, community):
+        edit_config(config_path, lambda doc: doc["community"].update(community))
+        assert run(command, "--config", config_path) == EXIT_CONFIG
+        one_line_error(capsys, "configuration error")
+
+    @pytest.mark.parametrize("layout", [
+        {"start": [0]},
+        {"start": "00"},
+        {"items": {"milk": [1]}},
+        {"items": {"milk": [1, "1"]}},
+        {"items": ["milk"]},
+    ], ids=["short-start", "text-start", "short-cell", "text-cell",
+            "item-list"])
+    def test_malformed_supermarket_is_config_error(self, config_path, capsys,
+                                                   layout):
+        game = supermarket_game(
+            width=2, height=2, items={"milk": (1, 1)}, shopping_list=["milk"],
+            start=(0, 0), horizon=2, vocab=tuple("abc")).to_json_dict()
+        game["layout"].update(layout)
+        edit_config(config_path, lambda doc: doc.update(game=game))
+        assert run("gen-community", "--config", config_path) == EXIT_CONFIG
+        one_line_error(capsys, "configuration error")
+
+    @pytest.mark.parametrize("artifact,command,edit", [
+        ("broca.json", "eval-speaker", lambda doc: [1, 2]),
+        ("broca.json", "eval-speaker", without("backoff_table")),
+        ("broca.json", "eval-speaker", lambda doc: {**doc, "table": [1]}),
+        ("broca.json", "eval-speaker",
+         lambda doc: {**doc, "backoff_table": {"none": {"a": "1"}}}),
+        ("wernicke.json", "eval-listener", lambda doc: [1, 2]),
+        ("wernicke.json", "eval-listener", without("table")),
+        ("wernicke.json", "eval-listener", without("alpha")),
+        ("wernicke.json", "eval-listener", without("backoff")),
+        ("wernicke.json", "eval-listener",
+         lambda doc: {**doc, "table": {"a": {"start::pick0": 1.5}}}),
+    ], ids=["broca-list", "broca-no-backoff-table", "broca-table-list",
+            "broca-text-count", "wernicke-list", "wernicke-no-table",
+            "wernicke-no-alpha", "wernicke-no-backoff", "wernicke-float-count"])
+    def test_malformed_model_is_config_error(self, config_path, tmp_path,
+                                             capsys, artifact, command, edit):
+        assert run("collect", "--config", config_path, "--n", "30",
+                   "--canonical") == EXIT_OK
+        assert run("fit-broca", "--config", config_path) == EXIT_OK
+        assert run("fit-wernicke", "--config", config_path) == EXIT_OK
+        path = tmp_path / "out" / artifact
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert run(command, "--config", config_path) == EXIT_CONFIG
+        one_line_error(capsys, "configuration error")
+
+    def test_record_not_of_the_game_is_module_error(self, config_path,
+                                                    tmp_path, capsys):
+        assert run("collect", "--config", config_path, "--n", "30",
+                   "--canonical") == EXIT_OK
+        path = tmp_path / "out" / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["message"] = ["zz", "q"]
+        rec["trajectory"]["canonical_key"] = "start::pick9"
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("fit-wernicke", "--config", config_path) == EXIT_MODULE
+        one_line_error(capsys, "error: line 2")
 
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -136,3 +136,42 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetParseError, match="line 3"):
             load(path)
+
+
+class TestLoadAgainstGame:
+    @staticmethod
+    def saved(community, tmp_path, edit=None):
+        """Save three episodes; edit(record) rewrites the second record."""
+        path = tmp_path / "d.jsonl"
+        save(collect(community, 3, master_seed=0), path)
+        if edit is not None:
+            lines = path.read_text().splitlines()
+            rec = json.loads(lines[2])
+            edit(rec)
+            lines[2] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(message=["zz", "q"]),
+        lambda r: r.update(message=["a", "a"]),
+        lambda r: r["trajectory"].update(canonical_key="start::pick9"),
+        lambda r: r["hidden_target"].update(canonical_key="start::pick9"),
+        lambda r: r["trajectory"]["steps"][0].__setitem__(2, 5.0),
+        lambda r: r["trajectory"]["steps"].append(["start", "pick0", 0.0]),
+    ], ids=["token", "length", "key", "hidden-key", "reward", "steps"])
+    def test_record_not_of_the_game_names_its_line(self, lewis3,
+                                                   lewis_community, tmp_path,
+                                                   edit):
+        path = self.saved(lewis_community, tmp_path, edit)
+        load(path)  # without a game, a load only parses
+        with pytest.raises(DatasetParseError, match="line 3"):
+            load(path, game=lewis3)
+
+    def test_records_hold_the_tables_trajectories(self, lewis3,
+                                                  lewis_community, tmp_path):
+        loaded = load(self.saved(lewis_community, tmp_path), game=lewis3)
+        table = lewis3.table
+        for rec in loaded.records:
+            for tau in (rec.trajectory, rec.hidden_target):
+                assert tau is table.trajs[table.key_index[tau.canonical_key]]

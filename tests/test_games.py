@@ -260,6 +260,20 @@ class TestFrozenGame:
         assert game_fingerprint(changed) == game_fingerprint(
             lewis_game(gamma=0.5))
 
+    def test_table_is_built_once(self, lewis3):
+        assert lewis3.table is lewis3.table
+        assert lewis3.table.game is lewis3
+
+    def test_replace_gets_a_fresh_table(self, lewis3):
+        table = lewis3.table
+        changed = dataclasses.replace(
+            lewis3, layout={"candidates": ["x", "y"], "target": 1})
+        assert changed.table is not table
+        assert changed.table.game is changed
+        assert [t.canonical_key for t in changed.table.trajs] == [
+            "start::pick0", "start::pick1"]
+        assert lewis3.table is table
+
     def test_fingerprints_are_pinned(self):
         assert game_fingerprint(lewis_game()) == "82959ab911cb0bbf"
         for doc, fp in ((self.LEWIS_4, "190c33550a6ccfeb"),
