@@ -40,6 +40,7 @@ from .inference import (
     fit_wernicke,
     map_target,
 )
+from .rng import check_seed
 from .semantics import (
     DistanceConfig,
     positive_listening_test,
@@ -113,7 +114,7 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
 
 
 def _seed(cfg, args) -> int:
-    return args.seed if args.seed is not None else cfg.run["seed"]
+    return check_seed(args.seed if args.seed is not None else cfg.run["seed"])
 
 
 def _n(cfg, args) -> int:

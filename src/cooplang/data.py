@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .community import (
     Community,
     Message,
@@ -26,6 +24,7 @@ from .errors import (
     FingerprintMismatchError,
 )
 from .games import GameSpec, Trajectory, game_fingerprint
+from .rng import streams
 
 DATASET_FORMAT_VERSION = 1
 
@@ -66,8 +65,7 @@ def collect(community: Community, n_episodes: int, master_seed: int,
         raise ConfigError("n_episodes must be >= 1")
     game = community.game
     records = []
-    for i in range(n_episodes):
-        rng = np.random.default_rng([master_seed, i])
+    for i, rng in enumerate(streams((master_seed,), n_episodes)):
         target = target_prior_sample(community, rng)
         s_idx = int(rng.integers(len(community.speakers)))
         l_idx = int(rng.integers(len(community.listeners)))

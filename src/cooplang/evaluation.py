@@ -15,6 +15,7 @@ import numpy as np
 
 from .community import (
     Community,
+    Message,
     enumerate_messages,
     rollout,
     speaker_sample,
@@ -23,6 +24,7 @@ from .community import (
 from .errors import ConfigError
 from .games import trajectory_return
 from .inference import BrocaModel, WernickeModel, broca_emit, wernicke_decode
+from .rng import pcg64_states, streams
 from .semantics import optimal_message, trajectory_distance
 
 
@@ -107,22 +109,26 @@ def eval_speaker(broca: BrocaModel, community: Community, n: int,
 
     hits = {"model": 0, "oracle": 0, "random": 0}
     returns = {"model": 0.0, "oracle": 0.0, "random": 0.0}
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
+    emitted: dict[str, Message] = {}
+    # every arm replays the same stream: default_rng([seed, i, 1])
+    arm_rng = np.random.Generator(np.random.PCG64())
+    arm_states = pcg64_states((seed,), n, (1,))
+    for rng, arm_state in zip(streams((seed,), n), arm_states):
         target = target_prior_sample(community, rng)
         listener = community.listeners[int(rng.integers(len(community.listeners)))]
         random_msg = msgs[int(rng.integers(len(msgs)))]
+        key = target.canonical_key
+        if key not in emitted:
+            emitted[key] = broca_emit(broca, target)
         arms = {
-            "model": broca_emit(broca, target),
+            "model": emitted[key],
             "oracle": optimal_message(listener0, game, target),
             "random": random_msg,
         }
-        # every arm replays the same stream: default_rng([seed, i, 1])
-        stream = np.random.SeedSequence([seed, i, 1])
         for arm, message in arms.items():
-            tau = rollout(game, listener, message,
-                          np.random.Generator(np.random.PCG64(stream)))
-            hits[arm] += tau.canonical_key == target.canonical_key
+            arm_rng.bit_generator.state = arm_state
+            tau = rollout(game, listener, message, arm_rng)
+            hits[arm] += tau.canonical_key == key
             returns[arm] += trajectory_return(tau, game.gamma)
 
     def metrics(arm):
@@ -147,14 +153,13 @@ def eval_listener(wernicke: WernickeModel, community: Community, n: int,
     hits = {"model": 0, "literal": 0}
     dists = {"model": 0.0, "literal": 0.0}
     values = {"model": 0.0, "literal": 0.0}
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
+    episodes = zip(streams((seed,), n), streams((seed,), n, (1,)))
+    for rng, rollout_rng in episodes:
         target = target_prior_sample(community, rng)
         speaker = community.speakers[int(rng.integers(len(community.speakers)))]
         listener = community.listeners[int(rng.integers(len(community.listeners)))]
         message = speaker_sample(speaker, game, target, rng)
-        observed = rollout(game, listener, message,
-                           np.random.default_rng([seed, i, 1]))
+        observed = rollout(game, listener, message, rollout_rng)
         estimates = {
             "model": wernicke_decode(wernicke, message),
             "literal": observed,

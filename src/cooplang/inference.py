@@ -196,15 +196,22 @@ def _public_records(dataset, game: GameSpec):
 
 
 def fit_broca(dataset, game: GameSpec) -> BrocaModel:
-    """Count messages per observed trajectory, exact key plus backoff."""
+    """Count messages per observed trajectory, exact key plus backoff.
+
+    The coarse feature replays a trajectory, so it is computed once per
+    distinct observed trajectory.
+    """
     table: dict[str, dict[str, int]] = {}
     backoff: dict[str, dict[str, int]] = {}
+    feats: dict[str, str] = {}
     for rec in _public_records(dataset, game):
         msg = rec.message.canonical()
         key = rec.trajectory.canonical_key
         table.setdefault(key, {})
         table[key][msg] = table[key].get(msg, 0) + 1
-        feat = coarse_feature(game, rec.trajectory)
+        feat = feats.get(key)
+        if feat is None:
+            feat = feats[key] = coarse_feature(game, rec.trajectory)
         backoff.setdefault(feat, {})
         backoff[feat][msg] = backoff[feat].get(msg, 0) + 1
     return BrocaModel(game=game, table=table, backoff_table=backoff)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .community import (
     ListenerPolicy,
@@ -134,6 +132,17 @@ def distribution_distance(
     return _lift(pv, qv, cost, cfg)
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    scipy serves only the Wasserstein-1 transport LP, and importing it
+    takes about 0.6 s, so a run that solves no LP never pays for it.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
 def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
     """The transport core: lift the ground metric to two probability vectors.
 
@@ -152,6 +161,8 @@ def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
     cost = cost_of(p_idx, q_idx)
     if len(p_idx) == 1 and len(q_idx) == 1:
         return float(cost[0, 0])
+
+    import scipy.sparse as sp
 
     n, m = cost.shape
     # exact transport LP: rows ship p mass, columns receive q mass

@@ -165,6 +165,20 @@ class TestErrorHandling:
         assert run(command, "--config", config_path) == EXIT_CONFIG
         one_line_error(capsys, "configuration error")
 
+    @pytest.mark.parametrize("command", ["gen-community", "collect"])
+    @pytest.mark.parametrize("seed", [-2, 1.5, "x"])
+    def test_bad_config_seed_is_config_error(self, config_path, capsys,
+                                             command, seed):
+        edit_config(config_path, lambda doc: doc["run"].update(seed=seed))
+        assert run(command, "--config", config_path) == EXIT_CONFIG
+        one_line_error(capsys, "configuration error: seed must be")
+
+    @pytest.mark.parametrize("command", ["gen-community", "eval-speaker"])
+    def test_negative_seed_flag_is_config_error(self, config_path, capsys,
+                                                command):
+        assert run(command, "--config", config_path, "--seed", "-2") == EXIT_CONFIG
+        one_line_error(capsys, "configuration error: seed must be >= 0")
+
     @pytest.mark.parametrize("layout", [
         {"start": [0]},
         {"start": "00"},

@@ -57,6 +57,21 @@ class TestEvalSpeaker:
         b = eval_speaker(broca, com, n=100, seed=5)
         assert a == b
 
+    def test_emits_once_per_target(self, fitted_noiseless, monkeypatch):
+        import cooplang.evaluation
+
+        com, broca, _ = fitted_noiseless
+        emitted = []
+        real = cooplang.evaluation.broca_emit
+
+        def counting(model, target):
+            emitted.append(target.canonical_key)
+            return real(model, target)
+
+        monkeypatch.setattr(cooplang.evaluation, "broca_emit", counting)
+        eval_speaker(broca, com, n=300, seed=5)
+        assert 0 < len(emitted) == len(set(emitted)) <= len(com.trajectories())
+
 
 class TestEvalListener:
     def test_noiseless_recovery_is_perfect(self, fitted_noiseless):

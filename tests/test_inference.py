@@ -230,6 +230,24 @@ class TestFitBroca:
         model_b = fit_broca(dataset.public(), lewis_community.game)
         assert model_a.table == model_b.table
 
+    def test_coarse_feature_once_per_trajectory(self, lewis_community,
+                                                monkeypatch):
+        import cooplang.inference
+
+        seen = []
+        real = cooplang.inference.coarse_feature
+
+        def counting(game, tau):
+            seen.append(tau.canonical_key)
+            return real(game, tau)
+
+        monkeypatch.setattr(cooplang.inference, "coarse_feature", counting)
+        dataset = collect(lewis_community, 100, master_seed=1)
+        model = fit_broca(dataset, lewis_community.game)
+        assert sorted(seen) == sorted(model.table)
+        assert sum(sum(hist.values())
+                   for hist in model.backoff_table.values()) == 100
+
 
 class TestFitWernicke:
     def test_large_alpha_equals_literal_fit(self, lewis3):

@@ -1,0 +1,125 @@
+"""Vectorized episode seeding: bit for bit numpy's default_rng streams.
+
+`cooplang.rng` runs numpy's SeedSequence hash for every episode at once.
+These tests hold it to `np.random.default_rng([*prefix, i, *suffix])`
+state by state and draw by draw, and check that the episode loops build a
+fixed number of bit generators however many episodes they run.
+"""
+
+import numpy as np
+import pytest
+
+from cooplang import (
+    CommunityConfig,
+    MapConfig,
+    build_community,
+    collect,
+    eval_listener,
+    eval_speaker,
+    fit_broca,
+    fit_wernicke,
+    lewis_game,
+)
+from cooplang.errors import ConfigError
+from cooplang.rng import check_seed, pcg64_states, streams
+
+# 2**64 + 1 has three 32-bit words: with the index and a suffix, the
+# entropy outgrows SeedSequence's pool of four and takes its extra loop
+SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 1]
+N = 2001
+
+
+@pytest.mark.parametrize("suffix", [(), (1,)], ids=["episode", "arm"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_streams_match_default_rng(seed, suffix):
+    for i, rng in enumerate(streams((seed,), N, suffix)):
+        ref = np.random.default_rng([seed, i, *suffix])
+        assert rng.bit_generator.state == ref.bit_generator.state, i
+        assert (rng.integers(5, dtype=np.uint32, size=3).tolist()
+                == ref.integers(5, dtype=np.uint32, size=3).tolist()), i
+        assert rng.random() == ref.random(), i
+        assert rng.integers(1000) == ref.integers(1000), i
+        # leave a buffered uint32 behind: the next load must drop it
+        rng.integers(5, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    assert i == N - 1
+
+
+def test_states_match_with_a_longer_prefix():
+    prefix, suffix = (7, 2**40), (3, 0)
+    states = list(pcg64_states(prefix, 300, suffix))
+    assert len(states) == 300
+    for i, state in enumerate(states):
+        ref = np.random.default_rng([*prefix, i, *suffix])
+        assert state == ref.bit_generator.state
+
+
+def test_no_episodes():
+    assert list(pcg64_states((1,), 0)) == []
+
+
+@pytest.mark.parametrize("seed", [-1, -2**40, 1.0, 2.5, "3", None])
+def test_bad_seed_is_config_error(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        pcg64_states((seed,), 3)
+    with pytest.raises(ConfigError, match="seed"):
+        pcg64_states((1,), 3, (seed,))
+    with pytest.raises(ConfigError, match="seed"):
+        check_seed(seed)
+
+
+def test_numpy_integer_seed_is_accepted():
+    assert check_seed(np.int64(5)) == 5
+    assert (next(pcg64_states((np.uint8(5),), 1))
+            == np.random.default_rng([5, 0]).bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [-1, 2**32 + 1])
+def test_index_must_fit_one_word(n):
+    with pytest.raises(ValueError, match="n must"):
+        pcg64_states((1,), n)
+
+
+@pytest.fixture
+def bit_generators(monkeypatch):
+    """Bit generators built while the test runs, by PCG64 or default_rng."""
+    built = []
+    pcg64, default_rng = np.random.PCG64, np.random.default_rng
+
+    def counted(real):
+        def build(*args, **kwargs):
+            built.append(real)
+            return real(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(np.random, "PCG64", counted(pcg64))
+    monkeypatch.setattr(np.random, "default_rng", counted(default_rng))
+    return built
+
+
+@pytest.fixture
+def lewis_run():
+    game = lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"),
+                      max_msg_len=2)
+    community = build_community(
+        CommunityConfig(game=game, epsilon=0.1, temp_msg=1.0), seed=3)
+    dataset = collect(community, 200, 3)
+    return (community, fit_broca(dataset, game),
+            fit_wernicke(dataset, game, MapConfig()))
+
+
+@pytest.mark.parametrize("step", ["collect", "eval_speaker", "eval_listener"])
+def test_bit_generators_per_run_do_not_grow_with_episodes(
+        lewis_run, bit_generators, step):
+    community, broca, wernicke = lewis_run
+    runs = {
+        "collect": lambda n: collect(community, n, 5),
+        "eval_speaker": lambda n: eval_speaker(broca, community, n, 5),
+        "eval_listener": lambda n: eval_listener(wernicke, community, n, 5),
+    }
+    counts = []
+    for n in (20, 200):
+        bit_generators.clear()
+        runs[step](n)
+        counts.append(len(bit_generators))
+    assert counts[0] == counts[1] <= 2

@@ -415,3 +415,15 @@ class TestTables:
             with pytest.raises(SupportMismatchError):
                 positive_listening_test(listener, lewis3, [()], [b], capped)
         assert semantic_distance(listener, lewis3, a, b, DistanceConfig()) == d
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy is imported by the first LP, not by `import cooplang`."""
+    import subprocess
+    import sys
+
+    code = ("import sys, cooplang, cooplang.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
