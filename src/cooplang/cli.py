@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from .inference import (
     fit_wernicke,
     map_target,
 )
-from .rng import check_seed
+from .schema import CONFIG, SECTIONS, check
 from .semantics import (
     DistanceConfig,
     positive_listening_test,
@@ -77,48 +77,45 @@ class ExperimentConfig:
     run: dict
 
     @classmethod
-    def load(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-        try:
-            game = GameSpec.from_json_dict(doc["game"])
-            # one GameSpec object, so a command builds one table per game
-            community = CommunityConfig(game=game, **doc.get("community", {}))
-            inference = _section(doc, "inference", INFERENCE_DEFAULTS)
-            distances = DistanceConfig(**doc.get("distances", {}))
-            run = _section(doc, "run", RUN_DEFAULTS)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad config structure: {exc}")
-        return cls(game=game, community=community, inference=inference,
-                   distances=distances, run=run)
+    def load(cls, path: str, flags: dict | None = None) -> "ExperimentConfig":
+        """Read and check a config file. flags maps a section to the values
+        given on the command line, which replace the file's unless None."""
+        doc = _read_json(path)
+        check("config", CONFIG, doc)
+        for name, given in (flags or {}).items():
+            doc[name] = {**doc.get(name, {}),
+                         **{k: v for k, v in given.items() if v is not None}}
+        for name, rules in SECTIONS.items():
+            check(name, rules, doc.setdefault(name, {}))
+        game = GameSpec.from_json_dict(doc.get("game"))
+        # one GameSpec object, so a command builds one table per game
+        return cls(game=game,
+                   community=CommunityConfig(game=game, **doc["community"]),
+                   inference={**INFERENCE_DEFAULTS, **doc["inference"]},
+                   distances=DistanceConfig(**doc["distances"]),
+                   run={**RUN_DEFAULTS, **doc["run"]})
 
 
-def _section(doc: dict, name: str, defaults: dict) -> dict:
-    """A config section over its defaults; unknown keys are errors."""
-    section = doc.get(name, {})
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return {**defaults, **section}
+def _read_json(path):
+    """The JSON document in a file; a ConfigError naming it otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise ConfigError(f"cannot read JSON from {path}: {exc}") from None
 
 
-def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    out = Path(args.out if args.out else cfg.run["out"])
+def _write_json(path: Path, doc) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return path
+
+
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    out = Path(cfg.run["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _seed(cfg, args) -> int:
-    return check_seed(args.seed if args.seed is not None else cfg.run["seed"])
-
-
-def _n(cfg, args) -> int:
-    return args.n if args.n is not None else cfg.run["n_episodes"]
 
 
 def _timestamp(args) -> str:
@@ -128,61 +125,58 @@ def _timestamp(args) -> str:
 
 
 def _load_dataset(out: Path, game: GameSpec):
-    return data.load(out / ARTIFACTS["dataset"], game=game)
+    path = out / ARTIFACTS["dataset"]
+    if not path.is_file():
+        raise ConfigError(f"cannot read {path}: no such file")
+    return data.load(path, game=game)
 
 
 def cmd_gen_community(cfg: ExperimentConfig, args) -> str:
-    out = _out_dir(cfg, args)
-    community = build_community(cfg.community, _seed(cfg, args))
+    out = _out_dir(cfg)
+    community = build_community(cfg.community, cfg.run["seed"])
     save_community(community, out / ARTIFACTS["community"])
     return (f"community with {len(community.codebook)} codebook entries "
             f"-> {out / ARTIFACTS['community']}")
 
 
 def cmd_collect(cfg: ExperimentConfig, args) -> str:
-    out = _out_dir(cfg, args)
-    community = build_community(cfg.community, _seed(cfg, args))
-    dataset = data.collect(community, _n(cfg, args), _seed(cfg, args),
+    out = _out_dir(cfg)
+    community = build_community(cfg.community, cfg.run["seed"])
+    dataset = data.collect(community, cfg.run["n_episodes"], cfg.run["seed"],
                            timestamp=_timestamp(args))
     data.save(dataset, out / ARTIFACTS["dataset"])
     return f"{len(dataset.records)} records -> {out / ARTIFACTS['dataset']}"
 
 
 def cmd_fit_broca(cfg: ExperimentConfig, args) -> str:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     dataset = _load_dataset(out, cfg.game)
     model = fit_broca(dataset, cfg.game)
-    path = out / ARTIFACTS["broca"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = _write_json(out / ARTIFACTS["broca"], model.to_json_dict())
     return f"broca table with {len(model.table)} trajectory keys -> {path}"
 
 
 def cmd_fit_wernicke(cfg: ExperimentConfig, args) -> str:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     dataset = _load_dataset(out, cfg.game)
-    alpha = args.alpha if args.alpha is not None else cfg.inference["alpha"]
-    map_cfg = MapConfig(alpha=alpha, variant=cfg.inference["variant"])
+    map_cfg = MapConfig(alpha=cfg.inference["alpha"],
+                        variant=cfg.inference["variant"])
     listener_model = None
     if map_cfg.variant == "expected":
-        community = build_community(cfg.community, _seed(cfg, args))
+        community = build_community(cfg.community, cfg.run["seed"])
         listener_model = exact_listener_model(community.listeners[0], cfg.game)
     model = fit_wernicke(dataset, cfg.game, map_cfg,
                          backoff=cfg.inference["backoff"],
                          listener_model=listener_model)
-    path = out / ARTIFACTS["wernicke"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = _write_json(out / ARTIFACTS["wernicke"], model.to_json_dict())
     return f"wernicke table with {len(model.table)} message keys -> {path}"
 
 
 def cmd_detect(cfg: ExperimentConfig, args) -> str:
-    out = _out_dir(cfg, args)
-    community = build_community(cfg.community, _seed(cfg, args))
-    dataset = data.collect(community, max(_n(cfg, args), 30), _seed(cfg, args),
-                           timestamp=_timestamp(args))
+    out = _out_dir(cfg)
+    community = build_community(cfg.community, cfg.run["seed"])
+    dataset = data.collect(community, max(cfg.run["n_episodes"], 30),
+                           cfg.run["seed"], timestamp=_timestamp(args))
     episodes = [
         ((), rec.trajectory.actions, (rec.message.canonical(),))
         for rec in dataset.records
@@ -192,45 +186,37 @@ def cmd_detect(cfg: ExperimentConfig, args) -> str:
         community.listeners[0], cfg.game, [()],
         enumerate_messages(cfg.game), cfg.distances,
     )
-    report = {
-        "positive_signalling": signalling.to_json_dict(),
-        "positive_listening": listening.to_json_dict(),
-    }
-    path = out / ARTIFACTS["report_json"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = _write_json(out / ARTIFACTS["report_json"], {
+        "positive_signalling": asdict(signalling),
+        "positive_listening": asdict(listening)})
     return (f"signalling detected={signalling.detected} "
             f"(p={signalling.p_value:.4f}), listening "
             f"detected={listening.detected} -> {path}")
 
 
 def _write_report(out: Path, report) -> Path:
-    path = out / ARTIFACTS["report_json"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = _write_json(out / ARTIFACTS["report_json"], asdict(report))
     with open(out / ARTIFACTS["report_csv"], "w", encoding="utf-8") as fh:
         fh.write(report_csv(report))
     return path
 
 
 def cmd_eval_speaker(cfg: ExperimentConfig, args) -> str:
-    out = _out_dir(cfg, args)
-    community = build_community(cfg.community, _seed(cfg, args))
-    with open(out / ARTIFACTS["broca"], "r", encoding="utf-8") as fh:
-        model = BrocaModel.from_json_dict(json.load(fh), cfg.game)
-    report = eval_speaker(model, community, _n(cfg, args), _seed(cfg, args))
+    out = _out_dir(cfg)
+    community = build_community(cfg.community, cfg.run["seed"])
+    model = BrocaModel.from_json_dict(_read_json(out / ARTIFACTS["broca"]),
+                                      cfg.game)
+    report = eval_speaker(model, community, cfg.run["n_episodes"], cfg.run["seed"])
     path = _write_report(out, report)
     return f"speaker success_rate={report.success_rate:.4f} -> {path}"
 
 
 def cmd_eval_listener(cfg: ExperimentConfig, args) -> str:
-    out = _out_dir(cfg, args)
-    community = build_community(cfg.community, _seed(cfg, args))
-    with open(out / ARTIFACTS["wernicke"], "r", encoding="utf-8") as fh:
-        model = WernickeModel.from_json_dict(json.load(fh), cfg.game)
-    report = eval_listener(model, community, _n(cfg, args), _seed(cfg, args))
+    out = _out_dir(cfg)
+    community = build_community(cfg.community, cfg.run["seed"])
+    model = WernickeModel.from_json_dict(
+        _read_json(out / ARTIFACTS["wernicke"]), cfg.game)
+    report = eval_listener(model, community, cfg.run["n_episodes"], cfg.run["seed"])
     path = _write_report(out, report)
     return f"listener recovery_rate={report.recovery_rate:.4f} -> {path}"
 
@@ -239,7 +225,7 @@ def cmd_oracle_check(cfg: ExperimentConfig, args) -> str:
     """Brute-force equivalence checks for the MAP estimator and normalizers."""
     game = cfg.game
     trajs = enumerate_trajectories(game)
-    rng = np.random.default_rng(_seed(cfg, args))
+    rng = np.random.default_rng(cfg.run["seed"])
     passed = failed = 0
     for _ in range(100):
         observed = trajs[int(rng.integers(len(trajs)))]
@@ -309,7 +295,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = ExperimentConfig.load(args.config)
+        cfg = ExperimentConfig.load(args.config, {
+            "run": {"seed": args.seed, "n_episodes": args.n, "out": args.out},
+            "inference": {"alpha": args.alpha}})
         summary = COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from .games import (
     game_fingerprint,
     step,  # not called here; perfbench tests patch this binding
 )
+from .schema import COMMUNITY, check, values_of
 from .tables import listener_table
 
 
@@ -100,8 +101,7 @@ class ListenerPolicy:
                               compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must lie in [0, 1]")
+        check("community", COMMUNITY, {"epsilon": self.epsilon})
         object.__setattr__(self, "codebook", MappingProxyType(
             {m: tuple(plan) for m, plan in self.codebook.items()}))
         object.__setattr__(self, "default_plan", tuple(self.default_plan))
@@ -130,8 +130,8 @@ class SpeakerPolicy:
                               compare=False)
 
     def __post_init__(self):
-        if self.temp_msg <= 0:
-            raise ConfigError("temp_msg must be > 0")
+        check("community", COMMUNITY, {"temp_msg": self.temp_msg,
+                                       "greedy_msg": self.greedy_msg})
 
 
 def rollout(game: GameSpec, listener: ListenerPolicy, message: Message,
@@ -183,31 +183,14 @@ class CommunityConfig:
     codebook_k: int = 64
 
     def __post_init__(self):
-        for name in ("n_speakers", "n_listeners", "codebook_k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("temp_msg", "temp_target"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+        check("community", COMMUNITY, values_of(self, COMMUNITY))
 
     def to_dict(self) -> dict:
-        return {
-            "game": self.game.to_json_dict(),
-            "n_speakers": self.n_speakers,
-            "n_listeners": self.n_listeners,
-            "epsilon": self.epsilon,
-            "temp_msg": self.temp_msg,
-            "temp_target": self.temp_target,
-            "greedy_msg": self.greedy_msg,
-            "greedy_target": self.greedy_target,
-            "codebook_k": self.codebook_k,
-        }
+        return {"game": self.game.to_json_dict(), **values_of(self, COMMUNITY)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CommunityConfig":
-        doc = dict(doc)
-        doc["game"] = GameSpec.from_json_dict(doc["game"])
-        return cls(**doc)
+        return cls(**{**doc, "game": GameSpec.from_json_dict(doc["game"])})
 
 
 @dataclass(eq=False)

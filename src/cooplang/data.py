@@ -25,6 +25,7 @@ from .errors import (
 )
 from .games import GameSpec, Trajectory, game_fingerprint
 from .rng import streams
+from .schema import RUN, check
 
 DATASET_FORMAT_VERSION = 1
 
@@ -61,8 +62,7 @@ def collect(community: Community, n_episodes: int, master_seed: int,
     Per episode the rng stream is derived from (master_seed, index), so
     episodes are independent and reproducible individually.
     """
-    if n_episodes < 1:
-        raise ConfigError("n_episodes must be >= 1")
+    check("run", RUN, {"n_episodes": n_episodes})
     game = community.game
     records = []
     for i, rng in enumerate(streams((master_seed,), n_episodes)):

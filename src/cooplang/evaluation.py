@@ -21,11 +21,10 @@ from .community import (
     speaker_sample,
     target_prior_sample,
 )
-from .errors import ConfigError
-from .games import trajectory_return
 from .inference import BrocaModel, WernickeModel, broca_emit, wernicke_decode
 from .rng import pcg64_states, streams
-from .semantics import optimal_message, trajectory_distance
+from .schema import RUN, check
+from .semantics import optimal_message
 
 
 @dataclass
@@ -35,14 +34,6 @@ class SpeakerReport:
     baselines: dict
     n: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "success_rate": self.success_rate,
-            "mean_return": self.mean_return,
-            "baselines": self.baselines,
-            "n": self.n,
-        }
-
 
 @dataclass
 class ListenerReport:
@@ -51,15 +42,6 @@ class ListenerReport:
     mean_target_value: float
     literal_baseline: dict
     n: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "recovery_rate": self.recovery_rate,
-            "mean_distance": self.mean_distance,
-            "mean_target_value": self.mean_target_value,
-            "literal_baseline": self.literal_baseline,
-            "n": self.n,
-        }
 
 
 SPEAKER_CSV_COLUMNS = [
@@ -101,9 +83,10 @@ def report_csv(report) -> str:
 def eval_speaker(broca: BrocaModel, community: Community, n: int,
                  seed: int) -> SpeakerReport:
     """Monte Carlo forward-problem evaluation with oracle/random baselines."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    check("run", RUN, {"n_episodes": n})
     game = community.game
+    table = game.table
+    values = table.values.tolist()
     msgs = enumerate_messages(game)
     listener0 = community.listeners[0]
 
@@ -129,7 +112,7 @@ def eval_speaker(broca: BrocaModel, community: Community, n: int,
             arm_rng.bit_generator.state = arm_state
             tau = rollout(game, listener, message, arm_rng)
             hits[arm] += tau.canonical_key == key
-            returns[arm] += trajectory_return(tau, game.gamma)
+            returns[arm] += values[table.key_index[tau.canonical_key]]
 
     def metrics(arm):
         return {"success_rate": hits[arm] / n, "mean_return": returns[arm] / n}
@@ -146,13 +129,14 @@ def eval_speaker(broca: BrocaModel, community: Community, n: int,
 def eval_listener(wernicke: WernickeModel, community: Community, n: int,
                   seed: int) -> ListenerReport:
     """Monte Carlo backward-problem evaluation against ground-truth targets."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    check("run", RUN, {"n_episodes": n})
     game = community.game
+    table = game.table
+    values = table.values.tolist()
 
     hits = {"model": 0, "literal": 0}
     dists = {"model": 0.0, "literal": 0.0}
-    values = {"model": 0.0, "literal": 0.0}
+    target_values = {"model": 0.0, "literal": 0.0}
     episodes = zip(streams((seed,), n), streams((seed,), n, (1,)))
     for rng, rollout_rng in episodes:
         target = target_prior_sample(community, rng)
@@ -164,16 +148,19 @@ def eval_listener(wernicke: WernickeModel, community: Community, n: int,
             "model": wernicke_decode(wernicke, message),
             "literal": observed,
         }
+        # estimates and targets are table trajectories: read D and V
+        t = table.key_index[target.canonical_key]
         for arm, est in estimates.items():
-            hits[arm] += est.canonical_key == target.canonical_key
-            dists[arm] += trajectory_distance(est, target)
-            values[arm] += trajectory_return(est, game.gamma)
+            e = table.key_index[est.canonical_key]
+            hits[arm] += e == t
+            dists[arm] += float(table.row(e)[t])
+            target_values[arm] += values[e]
 
     def metrics(arm):
         return {
             "recovery_rate": hits[arm] / n,
             "mean_distance": dists[arm] / n,
-            "mean_target_value": values[arm] / n,
+            "mean_target_value": target_values[arm] / n,
         }
 
     model = metrics("model")

@@ -22,33 +22,19 @@ from .errors import (
     InvalidActionError,
     TerminalStateError,
 )
+from .schema import GAME, LAYOUT, REWARD_PARAMS, check, values_of
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
 SUPERMARKET_ACTIONS = ("N", "E", "S", "W", "pick")
-
-_GAME_JSON_FIELDS = {
-    "kind",
-    "vocab",
-    "max_msg_len",
-    "horizon",
-    "gamma",
-    "reward_params",
-    "layout",
-}
 
 
 @dataclass(frozen=True)
 class GameSpec:
     """A finite referential game, immutable once built.
 
-    kind: "lewis" or "supermarket".
-    vocab: token alphabet for messages.
-    max_msg_len: maximum message length L.
-    horizon: maximum number of environment steps H.
-    gamma: discount factor.
-    reward_params: per-kind reward constants.
-    layout: per-kind structure (candidates/target, or grid/items/list/start).
+    The fields are the keys of a config's game section, with the rules of
+    `schema.GAME`, `schema.LAYOUT` and `schema.REWARD_PARAMS`.
 
     reward_params and layout are stored read-only (mappings as mapping
     proxies, lists as tuples), so the fingerprint, computed once from the
@@ -66,9 +52,8 @@ class GameSpec:
     fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vocab", tuple(self.vocab))
-        object.__setattr__(self, "reward_params", _freeze(self.reward_params))
-        object.__setattr__(self, "layout", _freeze(self.layout))
+        for name in ("vocab", "reward_params", "layout"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         self.validate()
         blob = json.dumps(self.to_json_dict(), sort_keys=True,
                           separators=(",", ":"))
@@ -82,57 +67,38 @@ class GameSpec:
         return GameTable(self)
 
     def validate(self) -> None:
-        if self.kind not in ("lewis", "supermarket"):
-            raise ConfigError(f"unknown game kind {self.kind!r}")
-        if not self.vocab:
-            raise ConfigError("vocab must be non-empty")
-        if len(set(self.vocab)) != len(self.vocab):
-            raise ConfigError("vocab tokens must be distinct")
-        if self.max_msg_len < 1:
-            raise ConfigError("max_msg_len must be >= 1")
-        if len(self.vocab) ** self.max_msg_len > DEFAULT_ENUMERATION_CAP:
-            raise ConfigError(
-                f"|vocab|^L = {len(self.vocab) ** self.max_msg_len} exceeds "
-                f"enumeration cap {DEFAULT_ENUMERATION_CAP}"
-            )
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
+        """The schema's rules, then the checks that relate keys."""
+        doc = self.to_json_dict()
+        check("game", GAME, doc, required=True)
+        check("game.layout", LAYOUT[self.kind], doc["layout"], required=True)
+        check("game.reward_params", REWARD_PARAMS[self.kind],
+              doc["reward_params"], required=True)
+        # n ** L > cap for n >= 2 once L >= cap.bit_length(): clip a huge L
+        cap = DEFAULT_ENUMERATION_CAP
+        if len(self.vocab) ** min(self.max_msg_len, cap.bit_length()) > cap:
+            raise ConfigError(f"|vocab|^max_msg_len exceeds the cap {cap}, got "
+                              f"{self.max_msg_len} (game.max_msg_len)")
+        layout = self.layout
         if self.kind == "lewis":
             if self.horizon != 1:
-                raise ConfigError("lewis games must have horizon 1")
-            cands = self.layout.get("candidates")
-            if not cands:
-                raise ConfigError("lewis layout needs a candidate list")
-            target = self.layout.get("target")
-            if not isinstance(target, int) or not 0 <= target < len(cands):
-                raise ConfigError("lewis target index out of range")
-            if "pick_reward" not in self.reward_params:
-                raise ConfigError("lewis reward_params needs pick_reward")
-        else:
-            w, h = self.layout.get("width"), self.layout.get("height")
-            if not (isinstance(w, int) and isinstance(h, int) and w > 0 and h > 0):
-                raise ConfigError("supermarket layout needs positive width/height")
-            for key in ("items", "shopping_list"):
-                if key not in self.layout:
-                    raise ConfigError(f"supermarket layout needs {key}")
-            items = self.layout["items"]
-            if not isinstance(items, Mapping):
-                raise ConfigError("supermarket items must map names to cells")
-            for name, cell in items.items():
-                if not _in_grid(cell, w, h):
-                    raise ConfigError(f"item {name!r} is not on an [x, y] grid cell")
-            if len(set(items.values())) != len(items):
-                raise ConfigError("supermarket items must occupy distinct cells")
-            for name in self.layout["shopping_list"]:
-                if name not in items:
-                    raise ConfigError(f"shopping list item {name!r} not on the map")
-            if not _in_grid(self.layout.get("start"), w, h):
-                raise ConfigError("supermarket start is not an [x, y] grid cell")
-            for key in ("step_penalty", "item_reward"):
-                if key not in self.reward_params:
-                    raise ConfigError(f"supermarket reward_params needs {key}")
+                raise ConfigError(
+                    "lewis games must have horizon 1 (game.horizon)")
+            if layout["target"] >= len(layout["candidates"]):
+                raise ConfigError("target must index the candidates, got "
+                                  f"{layout['target']} (game.layout.target)")
+            return
+        w, h, items = layout["width"], layout["height"], layout["items"]
+        for name, (x, y) in (*items.items(), ("start", layout["start"])):
+            if not (0 <= x < w and 0 <= y < h):
+                raise ConfigError(f"{name!r} cell [{x}, {y}] is off the "
+                                  f"{w}x{h} grid (game.layout)")
+        if len(set(items.values())) != len(items):
+            raise ConfigError(
+                "items must occupy distinct cells (game.layout.items)")
+        off_map = [n for n in layout["shopping_list"] if n not in items]
+        if off_map:
+            raise ConfigError(f"shopping list items {off_map} are not on the "
+                              "map (game.layout.shopping_list)")
 
     @property
     def env_actions(self) -> tuple[str, ...]:
@@ -147,40 +113,12 @@ class GameSpec:
         return (sx, sy, frozenset())
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vocab": list(self.vocab),
-            "max_msg_len": self.max_msg_len,
-            "horizon": self.horizon,
-            "gamma": self.gamma,
-            "reward_params": _thaw(self.reward_params),
-            "layout": _thaw(self.layout),
-        }
+        return {key: _thaw(v) for key, v in values_of(self, GAME).items()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GameSpec":
-        unknown = set(doc) - _GAME_JSON_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown GameSpec fields: {sorted(unknown)}")
-        missing = _GAME_JSON_FIELDS - set(doc)
-        if missing:
-            raise ConfigError(f"missing GameSpec fields: {sorted(missing)}")
-        return cls(
-            kind=doc["kind"],
-            vocab=tuple(doc["vocab"]),
-            max_msg_len=doc["max_msg_len"],
-            horizon=doc["horizon"],
-            gamma=doc["gamma"],
-            reward_params=dict(doc["reward_params"]),
-            layout=dict(doc["layout"]),
-        )
-
-
-def _in_grid(cell, width: int, height: int) -> bool:
-    """Is cell a pair of ints (x, y) inside a width x height grid?"""
-    return (isinstance(cell, tuple) and len(cell) == 2
-            and all(isinstance(v, int) for v in cell)
-            and 0 <= cell[0] < width and 0 <= cell[1] < height)
+        check("game", GAME, doc, required=True)
+        return cls(**doc)
 
 
 def _freeze(value):
@@ -365,8 +303,7 @@ def final_state(game: GameSpec, tau: Trajectory):
 
 def trajectory_return(tau: Trajectory, gamma: float) -> float:
     """Discounted sum of rewards along a trajectory."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError("gamma must lie in [0, 1]")
+    check("game", GAME, {"gamma": gamma})
     total = 0.0
     weight = 1.0
     for _, _, r in tau.steps:

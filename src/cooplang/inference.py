@@ -27,6 +27,7 @@ from .errors import (
     ForeignGameRecordError,
 )
 from .games import GameSpec, Trajectory, final_state, game_fingerprint
+from .schema import INFERENCE, check
 from .semantics import DistanceConfig, message_distance
 from .tables import GameTable, listener_table
 
@@ -41,10 +42,8 @@ class MapConfig:
     variant: str = "literal"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
-        if self.variant not in ("literal", "expected"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        check("inference", INFERENCE,
+              {"alpha": self.alpha, "variant": self.variant})
 
 
 def boltzmann_message_likelihood(
@@ -241,10 +240,8 @@ class WernickeModel:
     backoff: float = 0.5
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
-        if not 0.0 <= self.backoff <= 1.0:
-            raise ConfigError("backoff threshold must lie in [0, 1]")
+        check("wernicke", INFERENCE,
+              {"alpha": self.alpha, "backoff": self.backoff})
 
     def value_of(self, key: str) -> float:
         table = self.game.table
@@ -264,17 +261,14 @@ class WernickeModel:
     def from_json_dict(cls, doc: dict, game: GameSpec) -> "WernickeModel":
         """Load a model; every label must be a trajectory of the game."""
         _check_model_doc(doc, "wernicke", game, ("table",))
-        for key in ("alpha", "backoff"):
-            if not isinstance(doc.get(key), (int, float)):
-                raise ConfigError(f"wernicke {key} must be a number")
         table = doc["table"]
         unknown = sorted({key for hist in table.values() for key in hist}
                          - game.table.key_index.keys())
         if unknown:
             raise ConfigError(
                 f"wernicke labels are not trajectories of the game: {unknown}")
-        return cls(game=game, table=table, alpha=doc["alpha"],
-                   backoff=doc["backoff"])
+        return cls(game=game, table=table, alpha=doc.get("alpha"),
+                   backoff=doc.get("backoff"))
 
 
 def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,

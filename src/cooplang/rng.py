@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from .errors import ConfigError
+from .schema import RUN, check
 
 _POOL = 4  # SeedSequence's pool size, in uint32 words
 _M32 = 0xFFFFFFFF
@@ -24,13 +24,8 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def check_seed(seed) -> int:
     """The seed as an int; ConfigError unless it is a non-negative integer."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
+    check("run", RUN, {"seed": seed})
+    return operator.index(seed)
 
 
 def _words(seed) -> list[int]:

@@ -28,6 +28,7 @@ from .errors import (
     TooFewEpisodesError,
 )
 from .games import GameSpec, Trajectory
+from .schema import DISTANCES, check, values_of
 from .tables import listener_table
 
 DEFAULT_WASSERSTEIN_SUPPORT_CAP = 512
@@ -42,14 +43,7 @@ class DistanceConfig:
     wasserstein_support_cap: int = DEFAULT_WASSERSTEIN_SUPPORT_CAP
 
     def __post_init__(self):
-        if self.dist_lift not in ("wasserstein1", "total_variation"):
-            raise ConfigError(f"unknown dist_lift {self.dist_lift!r}")
-        if self.listening_epsilon <= 0:
-            raise ConfigError("listening_epsilon must be > 0")
-        if not 0.0 < self.signalling_alpha < 1.0:
-            raise ConfigError("signalling_alpha must lie in (0, 1)")
-        if self.permutations < 100:
-            raise ConfigError("permutations must be >= 100")
+        check("distances", DISTANCES, values_of(self, DISTANCES))
 
 
 @dataclass
@@ -58,14 +52,6 @@ class DetectorReport:
     statistic: float
     p_value: float | None = None
     witness: tuple | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "detected": self.detected,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
 
 
 def _levenshtein(a, b) -> int:

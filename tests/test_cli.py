@@ -247,3 +247,157 @@ class TestErrorHandling:
         for flag in ("--config", "--seed", "--n", "--alpha", "--out",
                      "--canonical"):
             assert flag in text
+
+
+SUPERMARKET = supermarket_game(
+    width=2, height=2, items={"milk": (1, 1)}, shopping_list=["milk"],
+    start=(0, 0), horizon=2, vocab=tuple("abc")).to_json_dict()
+DELETE = object()
+
+# (game, section.key, value): each value breaks its key's rule
+MALFORMED = [
+    ("lewis", "game.vocab", [1, 2, 3]),
+    ("lewis", "game.vocab", "abc"),
+    ("lewis", "game.vocab", ["", "a", "b"]),
+    ("lewis", "game.vocab", ["a", "a b"]),
+    ("lewis", "game.max_msg_len", 1.5),
+    ("lewis", "game.max_msg_len", True),
+    ("lewis", "game.max_msg_len", "2"),
+    ("lewis", "game.max_msg_len", 10**9),
+    ("lewis", "game.horizon", "1"),
+    ("lewis", "game.gamma", "x"),
+    ("lewis", "game.gamma", None),
+    ("lewis", "game.reward_params", []),
+    ("lewis", "game.reward_params.pick_reward", "x"),
+    ("lewis", "game.reward_params.pick_reward", DELETE),
+    ("lewis", "game.layout", 5),
+    ("lewis", "game.layout.candidates", "abc"),
+    ("lewis", "game.layout.candidates", 3),
+    ("lewis", "game.layout.target", True),
+    ("lewis", "game.layout.target", "0"),
+    ("lewis", "game.layout.target", 1.0),
+    ("lewis", "game.layout.target", 3),
+    ("supermarket", "game.horizon", 1.5),
+    ("supermarket", "game.layout.width", "2"),
+    ("supermarket", "game.layout.height", True),
+    ("supermarket", "game.layout.shopping_list", "milk"),
+    ("supermarket", "game.layout.shopping_list", [["milk"]]),
+    ("supermarket", "game.layout.items", {"milk": [1, True]}),
+    ("supermarket", "game.layout.start", DELETE),
+    ("supermarket", "game.reward_params.step_penalty", "x"),
+    ("supermarket", "game.reward_params.item_reward", None),
+    ("lewis", "community.epsilon", "x"),
+    ("lewis", "community.epsilon", 1.5),
+    ("lewis", "community.greedy_msg", "yes"),
+    ("lewis", "community.greedy_target", 1),
+    ("lewis", "community.n_speakers", 1.5),
+    ("lewis", "community.n_listeners", "2"),
+    ("lewis", "community.codebook_k", True),
+    ("lewis", "community.temp_msg", "x"),
+    ("lewis", "community.temp_msg", float("nan")),
+    ("lewis", "community.temp_target", float("nan")),
+    ("lewis", "distances.dist_lift", 5),
+    ("lewis", "distances.listening_epsilon", float("nan")),
+    ("lewis", "distances.signalling_alpha", "x"),
+    ("lewis", "distances.permutations", "x"),
+    ("lewis", "distances.permutations", 500.5),
+    ("lewis", "distances.wasserstein_support_cap", "x"),
+    ("lewis", "inference.alpha", "x"),
+    ("lewis", "inference.alpha", -1.0),
+    ("lewis", "inference.variant", 5),
+    ("lewis", "inference.backoff", "x"),
+    ("lewis", "run.n_episodes", "x"),
+    ("lewis", "run.n_episodes", 0),
+    ("lewis", "run.out", 5),
+    ("lewis", "config.comunity", {"epsilon": 0.1}),
+    ("lewis", "config.community", [1]),
+]
+
+# (flags, section.key) for out-of-range command-line overrides
+MALFORMED_FLAGS = [
+    (["--alpha", "nan"], "inference.alpha"),
+    (["--alpha", "inf"], "inference.alpha"),
+    (["--alpha", "0"], "inference.alpha"),
+    (["--n", "0"], "run.n_episodes"),
+]
+
+
+def set_key(doc, game, path, value):
+    """Put value at section.key of a config doc on the given game."""
+    if game == "supermarket":
+        doc["game"] = json.loads(json.dumps(SUPERMARKET))
+    *sections, key = path.removeprefix("config.").split(".")
+    for name in sections:
+        doc = doc.setdefault(name, {})
+    if value is DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+def one_line_naming(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "), err
+    assert err.count("\n") == 1 and path in err, err
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("game,path,value", MALFORMED, ids=[
+        f"{path}={'missing' if value is DELETE else repr(value)}"
+        for _, path, value in MALFORMED])
+    def test_malformed_value_is_one_line_config_error(
+            self, config_path, capsys, game, path, value):
+        edit_config(config_path, lambda doc: set_key(doc, game, path, value))
+        assert run("gen-community", "--config", config_path) == EXIT_CONFIG
+        one_line_naming(capsys, path)
+
+    @pytest.mark.parametrize("flags,path", MALFORMED_FLAGS,
+                             ids=[" ".join(f) for f, _ in MALFORMED_FLAGS])
+    def test_malformed_flag_is_one_line_config_error(
+            self, config_path, capsys, flags, path):
+        assert run("gen-community", "--config", config_path,
+                   *flags) == EXIT_CONFIG
+        one_line_naming(capsys, path)
+
+    def test_flags_replace_the_config_values(self, config_path, tmp_path):
+        out = tmp_path / "flagged"
+        assert run("collect", "--config", config_path, "--n", "31",
+                   "--seed", "2", "--out", str(out), "--canonical") == EXIT_OK
+        header, *records = (out / "dataset.jsonl").read_text().splitlines()
+        assert len(records) == 31
+        assert json.loads(header)["meta"]["master_seed"] == 2
+
+
+class TestInputArtifacts:
+    @pytest.fixture
+    def fitted(self, config_path, tmp_path):
+        assert run("collect", "--config", config_path, "--n", "30",
+                   "--canonical") == EXIT_OK
+        assert run("fit-broca", "--config", config_path) == EXIT_OK
+        assert run("fit-wernicke", "--config", config_path) == EXIT_OK
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("command,artifact", [
+        ("fit-broca", "dataset.jsonl"),
+        ("fit-wernicke", "dataset.jsonl"),
+        ("eval-speaker", "broca.json"),
+        ("eval-listener", "wernicke.json"),
+    ])
+    def test_missing_artifact_is_one_line_config_error(
+            self, config_path, fitted, capsys, command, artifact):
+        (fitted / artifact).unlink()
+        capsys.readouterr()
+        assert run(command, "--config", config_path) == EXIT_CONFIG
+        one_line_naming(capsys, artifact)
+
+    @pytest.mark.parametrize("command,artifact", [
+        ("eval-speaker", "broca.json"),
+        ("eval-listener", "wernicke.json"),
+    ])
+    @pytest.mark.parametrize("text", ["{nope", "\xff"])
+    def test_model_that_is_not_json_is_one_line_config_error(
+            self, config_path, fitted, capsys, command, artifact, text):
+        (fitted / artifact).write_text(text, encoding="latin-1")
+        capsys.readouterr()
+        assert run(command, "--config", config_path) == EXIT_CONFIG
+        one_line_naming(capsys, artifact)
