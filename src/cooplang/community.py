@@ -68,10 +68,12 @@ def enumerate_messages(game: GameSpec,
                        include_null: bool = False) -> list[Message]:
     """All messages of length 1..L in (length, lexicographic) order."""
     toks = sorted(game.vocab)
-    total = sum(len(toks) ** n for n in range(1, game.max_msg_len + 1))
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(total, DEFAULT_ENUMERATION_CAP,
-                                  what="messages")
+    total = 0
+    for n in range(1, game.max_msg_len + 1):
+        total += len(toks) ** n
+        if total > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(total, DEFAULT_ENUMERATION_CAP,
+                                      what="messages")
     msgs: list[Message] = [NULL_MESSAGE] if include_null else []
     for length in range(1, game.max_msg_len + 1):
         msgs.extend(Message(combo) for combo in itertools.product(toks, repeat=length))
@@ -165,7 +167,7 @@ def listener_traj_dist(
     """
     validate_message(game, message)
     table = listener_table(listener, game)
-    return table.dist(table.row(message))
+    return dict(zip(table.game.trajs, table.P[table.row(message)].tolist()))
 
 
 @dataclass

@@ -140,6 +140,18 @@ def save(dataset: InteractionDataset, path) -> None:
             }) + "\n")
 
 
+def _check_fields(doc: dict) -> None:
+    """ValueError unless a record's plain fields have their JSON types."""
+    message, seed = doc["message"], doc["episode_seed"]
+    if type(message) is not list or any(type(t) is not str for t in message):
+        raise ValueError(f"message must be a list of strings, got {message!r}")
+    if type(seed) is not int or seed < 0:  # a bool is not an int here
+        raise ValueError(f"episode_seed must be an integer >= 0, got {seed!r}")
+    for key in ("speaker_id", "listener_id"):
+        if type(doc[key]) is not str:
+            raise ValueError(f"{key} must be a string, got {doc[key]!r}")
+
+
 def load(path, game: GameSpec | None = None) -> InteractionDataset:
     """Parse a JSONL dataset; optionally check it against a game.
 
@@ -176,6 +188,7 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             doc = json.loads(line)
+            _check_fields(doc)
             message = Message(tuple(doc["message"]))
             if game is not None:
                 validate_message(game, message)

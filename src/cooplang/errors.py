@@ -20,7 +20,7 @@ class EnumerationCapError(CoopLangError):
         self.needed = needed
         self.cap = cap
         super().__init__(
-            f"enumerating {what} would require {needed} items, cap is {cap}"
+            f"enumerating {what} needs at least {needed} items, cap is {cap}"
         )
 
 

@@ -320,9 +320,10 @@ def enumerate_trajectories(
     Early termination truncates branches, so the trajectory set is
     prefix-free over action sequences.
     """
-    n_actions = len(game.env_actions)
-    if game.horizon > 0 and n_actions ** game.horizon > cap:
-        raise EnumerationCapError(n_actions ** game.horizon, cap)
+    # n ** horizon > cap for n >= 2 once horizon >= cap.bit_length()
+    needed = len(game.env_actions) ** min(game.horizon, cap.bit_length())
+    if needed > cap:
+        raise EnumerationCapError(needed, cap)
 
     fp = game_fingerprint(game)
     out: dict[str, Trajectory] = {}

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import (
-    ListenerPolicy,
-    Message,
-    listener_traj_dist,
-)
+from .community import ListenerPolicy, Message, validate_message
 from .errors import (
     ConfigError,
     EmptyDatasetError,
@@ -63,12 +59,8 @@ def boltzmann_message_likelihood(
 
 
 def exact_listener_model(listener: ListenerPolicy, game: GameSpec):
-    """An exact pi_B(.|m) suitable as listener_model for variant=expected."""
-
-    def model(message: Message) -> dict[Trajectory, float]:
-        return listener_traj_dist(listener, game, message)
-
-    return model
+    """The exact pi_B(.|m) for variant=expected: the listener's table."""
+    return listener_table(listener, game)
 
 
 def map_target(record, game: GameSpec, cfg: MapConfig,
@@ -82,7 +74,8 @@ def map_target(record, game: GameSpec, cfg: MapConfig,
     """
     _require_listener_model(cfg, listener_model)
     table = game.table
-    return table.trajs[_map_index(table, record, cfg, listener_model)]
+    return table.trajs[_map_index(table, record.message, record.trajectory,
+                                  cfg, listener_model)]
 
 
 def _require_listener_model(cfg: MapConfig, listener_model) -> None:
@@ -90,17 +83,17 @@ def _require_listener_model(cfg: MapConfig, listener_model) -> None:
         raise ConfigError("variant=expected requires a listener_model")
 
 
-def _map_index(table: GameTable, record, cfg: MapConfig,
-               listener_model) -> int:
+def _map_index(table: GameTable, message: Message, trajectory: Trajectory,
+               cfg: MapConfig, listener_model) -> int:
     """Index of the MAP candidate: max score, then max V, then first key."""
     if cfg.variant == "literal":
-        dist = table.column(record.trajectory)
+        dist = table.column(trajectory)
     else:
-        # the sum runs over the behaviour in its own order, term by term
-        terms = [(p, table.column(tau).tolist())
-                 for tau, p in listener_model(record.message).items() if p > 0]
-        dist = np.array([sum(p * col[c] for p, col in terms)
-                         for c in range(len(table.trajs))])
+        validate_message(table.game, message)
+        p = listener_model.P[listener_model.row(message)]
+        dist = np.zeros(len(p))
+        for j in np.flatnonzero(p):  # term by term, in trajectory order
+            dist = dist + p[j] * table.column(listener_model.game.trajs[j])
     scores = table.values - cfg.alpha * dist
     best = np.flatnonzero(scores == scores.max())
     best = best[table.values[best] == table.values[best].max()]
@@ -177,21 +170,22 @@ def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
             raise ConfigError(f"{kind} {key} must map keys to count tables")
 
 
-def _public_records(dataset, game: GameSpec):
+def _observed_pairs(dataset, game: GameSpec) -> list[tuple]:
+    """The (message, trajectory) pairs an estimator may see: no record, so
+    no hidden target, reaches it."""
     fp = game_fingerprint(game)
-    public = dataset.public()
-    if not public.records:
+    if not dataset.records:
         raise EmptyDatasetError("cannot fit on an empty dataset")
-    if public.game_fingerprint != fp:
+    if dataset.game_fingerprint != fp:
         raise ForeignGameRecordError(
-            f"dataset game {public.game_fingerprint} does not match {fp}"
+            f"dataset game {dataset.game_fingerprint} does not match {fp}"
         )
-    for rec in public.records:
+    for rec in dataset.records:
         if rec.trajectory.game_fingerprint != fp:
             raise ForeignGameRecordError(
                 f"record trajectory from game {rec.trajectory.game_fingerprint}"
             )
-    return public.records
+    return [(rec.message, rec.trajectory) for rec in dataset.records]
 
 
 def fit_broca(dataset, game: GameSpec) -> BrocaModel:
@@ -203,14 +197,14 @@ def fit_broca(dataset, game: GameSpec) -> BrocaModel:
     table: dict[str, dict[str, int]] = {}
     backoff: dict[str, dict[str, int]] = {}
     feats: dict[str, str] = {}
-    for rec in _public_records(dataset, game):
-        msg = rec.message.canonical()
-        key = rec.trajectory.canonical_key
+    for message, tau in _observed_pairs(dataset, game):
+        msg = message.canonical()
+        key = tau.canonical_key
         table.setdefault(key, {})
         table[key][msg] = table[key].get(msg, 0) + 1
         feat = feats.get(key)
         if feat is None:
-            feat = feats[key] = coarse_feature(game, rec.trajectory)
+            feat = feats[key] = coarse_feature(game, tau)
         backoff.setdefault(feat, {})
         backoff[feat][msg] = backoff[feat].get(msg, 0) + 1
     return BrocaModel(game=game, table=table, backoff_table=backoff)
@@ -278,17 +272,17 @@ def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
     A literal label depends only on the observed trajectory and an
     expected one only on the message, so each is computed once per fit.
     """
-    records = _public_records(dataset, game)
+    pairs = _observed_pairs(dataset, game)
     _require_listener_model(cfg, listener_model)
     game_table = game.table
     table: dict[str, dict[str, int]] = {}
     labels: dict = {}
-    for rec in records:
-        msg = rec.message.canonical()
-        key = rec.trajectory.actions if cfg.variant == "literal" else msg
+    for message, tau in pairs:
+        msg = message.canonical()
+        key = tau.actions if cfg.variant == "literal" else msg
         label = labels.get(key)
         if label is None:
-            index = _map_index(game_table, rec, cfg, listener_model)
+            index = _map_index(game_table, message, tau, cfg, listener_model)
             label = labels[key] = game_table.trajs[index].canonical_key
         table.setdefault(msg, {})
         table[msg][label] = table[msg].get(label, 0) + 1

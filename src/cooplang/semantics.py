@@ -183,7 +183,7 @@ def semantic_distance(
     validate_message(game, m1)
     validate_message(game, m2)
     table = listener_table(listener, game)
-    return table.distance(table.row(m1), table.row(m2), cfg)
+    return float(table.distances(table.row(m1), table.row(m2), cfg))
 
 
 def positive_listening_test(
@@ -200,16 +200,15 @@ def positive_listening_test(
         raise ConfigError("positive_listening_test needs a non-empty message list")
     if not contexts:
         contexts = [()]
-    table = listener_table(listener, game)
-    null = table.row(NULL_MESSAGE)
-    best, witness = 0.0, (contexts[0], messages[0].canonical())
     for msg in messages:
         validate_message(game, msg)
-        d = table.distance(null, table.row(msg), cfg)
-        if d > best:
-            best, witness = d, (contexts[0], msg.canonical())
-    return DetectorReport(detected=best > cfg.listening_epsilon,
-                          statistic=best, witness=witness)
+    table = listener_table(listener, game)
+    d = table.distances(table.row(NULL_MESSAGE),
+                        np.array([table.row(m) for m in messages]), cfg)
+    first = int(np.argmax(d))  # the first message at the largest distance
+    return DetectorReport(detected=bool(d[first] > cfg.listening_epsilon),
+                          statistic=float(d[first]),
+                          witness=(contexts[0], messages[first].canonical()))
 
 
 def _mutual_information(x: np.ndarray, y: np.ndarray) -> float:

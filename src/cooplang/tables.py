@@ -1,13 +1,13 @@
 """Index tables compiled once per game and once per (game, listener).
 
 A GameTable numbers the enumerated trajectories of a game in canonical-key
-order and holds their returns V and the trajectory edit-distance matrix D,
-filled row by row on demand. A ListenerTable adds one listener's
-behaviour: a matrix P with one row per distinct behaviour of its plans
-(the default plan included), a message -> row map, the optimal message
-per target and, per distance lift, a plan x plan semantic matrix S filled
-lazily. Every entry is computed by the same function the dict-based public
-API uses, so lookups return the same bits.
+order and holds their returns V, a padded action-id matrix, and the edit
+distance matrix D, a row at a time on first use, each row one vectorized
+Wagner-Fischer pass over the action-id matrix. A ListenerTable adds one
+listener's behaviour: a matrix P with one row per distinct behaviour of
+its plans (the default plan included), a message -> row map, the optimal
+message per target and, per lift, the plan x plan semantic matrix S, built
+whole on first read by `semantics._lift`. Entries have the dict API's bits.
 
 Tables hang off the objects that own their inputs: a game builds its
 GameTable on first use (`GameSpec.table`), and a listener keeps its
@@ -16,11 +16,13 @@ ListenerTables in `_dist_cache`, keyed by game fingerprint.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, InvalidActionError
 from .games import (
     GameSpec,
     Trajectory,
@@ -43,20 +45,34 @@ class GameTable:
         self.values = np.array([trajectory_return(t, game.gamma)
                                 for t in self.trajs])
         self.env_actions = game.env_actions
+        self._action_id = {a: k for k, a in enumerate(self.env_actions)}
+        # ids[i, k] is the id of trajectory i's k-th action, -1 past its end
+        self.lengths = np.array([len(t) for t in self.trajs], dtype=np.int64)
+        self.ids = np.full((len(self.trajs), self.lengths.max(initial=0)), -1)
+        for i, t in enumerate(self.trajs):
+            self.ids[i, :len(t)] = [self._action_id[a] for a in t.actions]
         self._rows: dict[int, np.ndarray] = {}
+
+    def _edit_row(self, a) -> np.ndarray:
+        """Normalized edit distances from action ids a to every trajectory,
+        by one Wagner-Fischer table per trajectory, all advanced together;
+        insertions are a running minimum: c + min over c' <= c of best - c'."""
+        cols = np.arange(self.ids.shape[1] + 1)
+        prev = np.broadcast_to(cols, (len(self.trajs), len(cols)))
+        for i, x in enumerate(a, start=1):
+            best = np.empty_like(prev)
+            best[:, 0] = i
+            np.minimum(prev[:, :-1] + (self.ids != x), prev[:, 1:] + 1,
+                       out=best[:, 1:])
+            prev = np.minimum.accumulate(best - cols, axis=1) + cols
+        edits = prev[np.arange(len(self.trajs)), self.lengths]
+        return edits / np.maximum(np.maximum(self.lengths, len(a)), 1)
 
     def row(self, i: int) -> np.ndarray:
         """D[i, :], computed on first use; D is symmetric."""
         r = self._rows.get(i)
         if r is None:
-            from .semantics import trajectory_distance  # semantics imports this module
-            t = self.trajs[i]
-            r = np.array([
-                self._rows[j][i] if j in self._rows
-                else trajectory_distance(t, u)
-                for j, u in enumerate(self.trajs)
-            ])
-            self._rows[i] = r
+            r = self._rows[i] = self._edit_row(self.ids[i, :self.lengths[i]])
         return r
 
     def cost(self, p_idx, q_idx) -> np.ndarray:
@@ -70,26 +86,21 @@ class GameTable:
         i = self.index.get(tau.actions)
         if i is not None:
             return self.row(i)
-        from .semantics import trajectory_distance
-        return np.array([trajectory_distance(t, tau) for t in self.trajs])
+        # -1 matches no action of an enumerated trajectory
+        return self._edit_row([self._action_id.get(a, -1) for a in tau.actions])
 
 
 class ListenerTable:
-    """One listener's behaviour on one game, with lazily filled distances."""
+    """One listener's behaviour on one game, and its semantic matrices."""
 
     def __init__(self, game: GameTable, listener):
         self.game = game
         plans = list(dict.fromkeys(
             (listener.default_plan, *listener.codebook.values())))
         # plans with equal behaviour share a row, so a != b means P[a] != P[b]
-        rows: dict[bytes, int] = {}
-        kept, row_of_plan = [], {}
-        for plan, prob in zip(plans, _plan_probs(game, plans, listener)):
-            row = rows.setdefault(prob.tobytes(), len(kept))
-            if row == len(kept):
-                kept.append(prob)
-            row_of_plan[plan] = row
-        self.P = np.array(kept)
+        self.P, rows = np.unique(_plan_probs(game, plans, listener), axis=0,
+                                 return_inverse=True)
+        row_of_plan = dict(zip(plans, rows.ravel().tolist()))
         self.nnz = (self.P > 0).sum(axis=1)
         self.default_row = row_of_plan[listener.default_plan]
         self.row_of = {canon: row_of_plan[plan]
@@ -99,9 +110,6 @@ class ListenerTable:
 
     def row(self, message) -> int:
         return self.row_of.get(message.canonical(), self.default_row)
-
-    def dist(self, row: int) -> dict[Trajectory, float]:
-        return dict(zip(self.game.trajs, self.P[row].tolist()))
 
     @cached_property
     def messages(self) -> list:
@@ -124,49 +132,48 @@ class ListenerTable:
                 int(np.argmax(self.P[self.message_rows, t]))]
         return m
 
-    def distance(self, a: int, b: int, cfg) -> float:
-        """The lifted distance between behaviour rows a and b.
+    def distances(self, a: int, rows, cfg) -> np.ndarray:
+        """S[a, rows]: lifted distances from behaviour row a to rows.
 
-        The support cap is checked on every call; only values are stored.
+        rows is a row or an array of rows. The Wasserstein support cap is
+        checked on every call, on the rows read; S holds only values.
         """
-        if a == b:
-            return 0.0
-        from . import semantics
-        if cfg.dist_lift == "wasserstein1":
-            semantics._check_support_cap(max(self.nnz[a], self.nnz[b]), cfg)
+        from . import semantics  # semantics imports this module
+        if cfg.dist_lift == "wasserstein1" and np.any(rows != a):
+            semantics._check_support_cap(
+                max(self.nnz[a], self.nnz[rows].max()), cfg)
         S = self._S.get(cfg.dist_lift)
         if S is None:
-            S = self._S[cfg.dist_lift] = np.full((len(self.P),) * 2, np.nan)
-        d = S[a, b]
-        if np.isnan(d):
-            semantics._check_normalized(self.P[a].tolist(), "p")
-            semantics._check_normalized(self.P[b].tolist(), "q")
-            d = S[a, b] = S[b, a] = semantics._lift(
-                self.P[a], self.P[b], self.game.cost, cfg)
-        return float(d)
-
-    def distances(self, a: int, rows: np.ndarray, cfg) -> np.ndarray:
-        """[distance(a, b) for b in rows], one evaluation per distinct row."""
-        lut = np.zeros(len(self.P))
-        for b in dict.fromkeys(rows.tolist()):
-            lut[b] = self.distance(a, b, cfg)
-        return lut[rows]
+            for p in self.P:
+                semantics._check_normalized(p.tolist(), "p")
+            # values do not depend on the cap, which the check above applied
+            whole = replace(cfg, wasserstein_support_cap=len(self.game.trajs))
+            S = np.zeros((len(self.P),) * 2)
+            for b, c in itertools.combinations(range(len(self.P)), 2):
+                S[b, c] = S[c, b] = semantics._lift(
+                    self.P[b], self.P[c], self.game.cost, whole)
+            self._S[cfg.dist_lift] = S  # whole, or not at all
+        return S[a, rows]
 
 
 def _plan_probs(game: GameTable, plans, listener) -> np.ndarray:
     """P[p, t]: the left-to-right product of listener.step_action_prob.
 
-    The k-th factor is computed for every trajectory at once; a trajectory
-    that has ended before step k keeps its product unchanged.
+    The k-th factor is computed for every trajectory at once from column k
+    of the action-id matrix; a trajectory that has ended before step k
+    keeps its product unchanged. A plan may only use the game's actions.
     """
-    horizon = max((len(t) for t in game.trajs), default=0)
-    taken = np.array([t.actions + ("",) * (horizon - len(t))
-                      for t in game.trajs]).reshape(len(game.trajs), horizon)
+    actions = np.array(game.env_actions)
     probs = np.ones((len(plans), len(game.trajs)))
     for p, plan in enumerate(plans):
-        for k in range(horizon):
-            step = listener.step_action_prob(game.game, plan, k, taken[:, k])
-            probs[p] = np.where(taken[:, k] != "", probs[p] * step, probs[p])
+        for k in range(game.ids.shape[1]):
+            planned = listener.planned_action(game.game, plan, k)
+            if planned not in game.env_actions:
+                raise InvalidActionError(
+                    f"action {planned!r} not in {game.env_actions}")
+            step = listener.step_action_prob(game.game, plan, k,
+                                             actions[game.ids[:, k]])
+            probs[p] = np.where(k < game.lengths, probs[p] * step, probs[p])
     return probs
 
 

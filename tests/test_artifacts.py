@@ -1,6 +1,6 @@
 """The bytes of every CLI artifact, pinned.
 
-Two small configs run the seven pipeline commands in one process, and each
+Five small configs run the seven pipeline commands in one process, and each
 artifact a command writes is checked against the sha256 it had when it was
 recorded. A change to how an episode consumes its rng stream, to the order
 of a sum, or to a file format changes some digest, so a change meant to
@@ -14,6 +14,11 @@ import pytest
 
 from cooplang import lewis_game, supermarket_game
 from cooplang.cli import EXIT_OK, main
+
+SM_2X2 = supermarket_game(
+    width=2, height=2, items={"milk": (1, 1)}, shopping_list=["milk"],
+    start=(0, 0), horizon=2, vocab=tuple("abcdefgh"),
+    max_msg_len=2).to_json_dict()
 
 CONFIGS = {
     "lewis4-eps0.1": {
@@ -30,6 +35,31 @@ CONFIGS = {
             max_msg_len=2).to_json_dict(),
         "community": {"epsilon": 0.1, "temp_msg": 1.0, "codebook_k": 8},
         "inference": {"alpha": 1.0},
+        "run": {"n_episodes": 200, "seed": 3},
+    },
+    # point-mass behaviours: every S entry is one D entry, no LP
+    "sm3x3-eps0": {
+        "game": supermarket_game(
+            width=3, height=3, items={"milk": (0, 1), "bread": (2, 2)},
+            shopping_list=["milk", "bread"], start=(0, 0), horizon=3,
+            vocab=tuple("abcdefgh"), max_msg_len=2).to_json_dict(),
+        "community": {"epsilon": 0.0, "temp_msg": 1.0, "codebook_k": 64},
+        "inference": {"alpha": 1.0},
+        "run": {"n_episodes": 100, "seed": 3},
+    },
+    # MAP against the listener's expected edit distance
+    "sm2x2-eps0.1-expected": {
+        "game": SM_2X2,
+        "community": {"epsilon": 0.1, "temp_msg": 1.0, "codebook_k": 8},
+        "inference": {"alpha": 1.0, "variant": "expected"},
+        "run": {"n_episodes": 200, "seed": 3},
+    },
+    # the detector's lift is total variation; speakers keep Wasserstein-1
+    "sm2x2-eps0.1-tv": {
+        "game": SM_2X2,
+        "community": {"epsilon": 0.1, "temp_msg": 1.0, "codebook_k": 8},
+        "inference": {"alpha": 1.0},
+        "distances": {"dist_lift": "total_variation"},
         "run": {"n_episodes": 200, "seed": 3},
     },
 }
@@ -77,6 +107,65 @@ DIGESTS = {
             "bd9b177234720e387c25f6d697aecfced7f2c8594a8d4fafc8723b084210baac",
         "detect/report.json":
             "cc5d5b4bbff0a1a38e9cee2393aa1dec5cda55cb9b1c8286c1b5e7d77bbf7ddf",
+        "eval-speaker/report.json":
+            "78b121eccd7f251e97a3235e28f6f4bab391c866356f72d7dc605bc29968b530",
+        "eval-speaker/report.csv":
+            "167bcf996bd7b62396bc848cc56d7fd93d2333b30c6e219f588260f48f64aa09",
+        "eval-listener/report.json":
+            "c596d8239a2d93c012462d441336a21f7fceb88ef519d8d03f3bbea9de352bd7",
+        "eval-listener/report.csv":
+            "5c1e477f19b598a409e3a35b78efca6331076c2d9f01dcbcc9baa7b1fb30cfd1",
+    },    "sm3x3-eps0": {
+        "gen-community/community.json":
+            "88fc2dfde8cce974140bfae553166323b179c236789afe55c34bcde4a4fdb4f4",
+        "collect/dataset.jsonl":
+            "42c4ba37a12062a6f9f52a5b9dc4fc9315069178cd05cbff5113f501ad27d4c0",
+        "fit-broca/broca.json":
+            "0a2e04df4c318fceaac22d683ea58f25470baa76d280fa4145d3643610cbc68f",
+        "fit-wernicke/wernicke.json":
+            "09269996c64368f686828e99796b057e7085f3d55bbfd858e043fe76cb00856e",
+        "detect/report.json":
+            "f96fb2e1260169ccef3d6d28535ef967890e9fbaf495177b5dd39a4d22a19f6c",
+        "eval-speaker/report.json":
+            "9d92cec73838ff4b55dc3b81350bbf2026d75eb2ce265b7b39974494b1acfbd5",
+        "eval-speaker/report.csv":
+            "315c9b08ea4b86e0ebcf0deb72260eaac7ad064059e816d7647ee5c00a8445fb",
+        "eval-listener/report.json":
+            "a6a8c7da83a9c6cd0626e37b27fdf5c70fb39feb7ac0934d056666727e1c08db",
+        "eval-listener/report.csv":
+            "1bed2072d58d65f250db3ed89fba3b7a104060a8ca15e0051a2dbcbf68ce92bc",
+    },
+    "sm2x2-eps0.1-expected": {
+        "gen-community/community.json":
+            "3393aec27cd47bac708ad1212004d147b9bc3a59420528bcb1e29ad4b248d993",
+        "collect/dataset.jsonl":
+            "013ccb17abf09bca62e5f578a90dfdca64488568d5ee8c6d881e0dab4a4953d7",
+        "fit-broca/broca.json":
+            "820c64015f64a1e3eb19c2d6718d5d3390f470d5280d555d21fbb4bed5cb8546",
+        "fit-wernicke/wernicke.json":
+            "1e516cac75e2f09ca2ded17cde8c7276df9299fd9d9637c1c8ed0a2df2fff4fd",
+        "detect/report.json":
+            "cc5d5b4bbff0a1a38e9cee2393aa1dec5cda55cb9b1c8286c1b5e7d77bbf7ddf",
+        "eval-speaker/report.json":
+            "78b121eccd7f251e97a3235e28f6f4bab391c866356f72d7dc605bc29968b530",
+        "eval-speaker/report.csv":
+            "167bcf996bd7b62396bc848cc56d7fd93d2333b30c6e219f588260f48f64aa09",
+        "eval-listener/report.json":
+            "bb53adc7af6b30b2c7ddfa564d849d966f7d48479edba4ff7e967c665ed15d1f",
+        "eval-listener/report.csv":
+            "1b40b64cc4009e331b0d6103cc66773bc96b3d211319cdc298291effe36ea9ff",
+    },
+    "sm2x2-eps0.1-tv": {
+        "gen-community/community.json":
+            "3393aec27cd47bac708ad1212004d147b9bc3a59420528bcb1e29ad4b248d993",
+        "collect/dataset.jsonl":
+            "013ccb17abf09bca62e5f578a90dfdca64488568d5ee8c6d881e0dab4a4953d7",
+        "fit-broca/broca.json":
+            "820c64015f64a1e3eb19c2d6718d5d3390f470d5280d555d21fbb4bed5cb8546",
+        "fit-wernicke/wernicke.json":
+            "bd9b177234720e387c25f6d697aecfced7f2c8594a8d4fafc8723b084210baac",
+        "detect/report.json":
+            "8323e46a22034c01d0062fe942747d1442ad58eae0910b2f3d4ffea58fc5dc04",
         "eval-speaker/report.json":
             "78b121eccd7f251e97a3235e28f6f4bab391c866356f72d7dc605bc29968b530",
         "eval-speaker/report.csv":

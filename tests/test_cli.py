@@ -239,6 +239,23 @@ class TestErrorHandling:
         assert run("fit-wernicke", "--config", config_path) == EXIT_MODULE
         one_line_error(capsys, "error: line 2")
 
+    @pytest.mark.parametrize("key,value", [("message", "ab"),
+                                           ("episode_seed", "x")])
+    def test_record_field_of_the_wrong_type_is_module_error(
+            self, config_path, tmp_path, capsys, key, value):
+        edit_config(config_path, lambda d: d["game"].update(max_msg_len=2))
+        assert run("collect", "--config", config_path, "--n", "30",
+                   "--canonical") == EXIT_OK
+        path = tmp_path / "out" / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec[key] = value
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("fit-broca", "--config", config_path) == EXIT_MODULE
+        one_line_error(capsys, "error: line 2")
+
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("collect", "--help")

@@ -274,6 +274,24 @@ class TestTables:
         with pytest.raises(InvalidActionError):
             rollout(lewis3, listener, Message(("a",)), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("default_plan", [(), ("jump",)])
+    def test_tables_reject_an_action_outside_the_game(self, lewis3, epsilon,
+                                                      default_plan):
+        from cooplang import DistanceConfig, semantic_distance
+        from cooplang.errors import InvalidActionError
+        codebook = ({"a": ("jump",)} if default_plan == ()
+                    else {"a": ("pick0",)})
+        a, b = Message(("a",)), Message(("b",))
+        for query in (
+                lambda lst: listener_traj_dist(lst, lewis3, a),
+                lambda lst: semantic_distance(lst, lewis3, a, b,
+                                              DistanceConfig())):
+            listener = ListenerPolicy(codebook=codebook, epsilon=epsilon,
+                                      default_plan=default_plan)
+            with pytest.raises(InvalidActionError, match="'jump'"):
+                query(listener)
+
 
 class TestFrozenPolicies:
     def test_listener_epsilon_cannot_change_after_a_query(self, lewis3):

@@ -138,6 +138,32 @@ class TestPersistence:
             load(path)
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("message", "ab"),          # a string is not a token list
+        ("message", ["a", 1]),
+        ("episode_seed", "x"),
+        ("episode_seed", -1),
+        ("episode_seed", True),
+        ("speaker_id", 0),
+        ("listener_id", None),
+    ])
+    def test_field_of_the_wrong_type_names_its_line(self, tmp_path, key,
+                                                    value):
+        game = lewis_game(max_msg_len=2)  # "ab" read as tokens would fit
+        path = tmp_path / "d.jsonl"
+        save(collect(build_community(CommunityConfig(game=game), 0), 3,
+                     master_seed=0), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec[key] = value
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        for against in (None, game):
+            with pytest.raises(DatasetParseError,
+                               match=f"line 3: {key} must be"):
+                load(path, game=against)
+
+
 class TestLoadAgainstGame:
     @staticmethod
     def saved(community, tmp_path, edit=None):

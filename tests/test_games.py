@@ -84,6 +84,22 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapError, match="cap is 10"):
             enumerate_trajectories(sm_2x2, cap=10)
 
+    def test_huge_horizon_hits_the_cap_at_once(self):
+        game = supermarket_game(2, 2, {"milk": (1, 1)}, ["milk"], (0, 0),
+                                10**6, ("a",))
+        with pytest.raises(EnumerationCapError, match="cap is 100000"):
+            game.table
+
+    def test_long_messages_hit_the_cap_at_once(self):
+        import time
+        from cooplang import enumerate_messages
+        # 1**L never passes the |vocab|^L check, so only the sum can
+        game = lewis_game(vocab=("a",), max_msg_len=10**9)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match="messages"):
+            enumerate_messages(game)
+        assert time.perf_counter() - start < 2.0  # not 10**9 terms
+
     def test_deterministic_ordering(self, sm_2x2):
         a = enumerate_trajectories(sm_2x2)
         b = enumerate_trajectories(sm_2x2)

@@ -173,6 +173,21 @@ class TestMapTarget:
                 assert lit == exp
 
 
+    def test_expected_variant_checks_the_listener_model(
+            self, lewis3, codebook_listener):
+        from cooplang.errors import DomainMismatchError
+        cfg = MapConfig(alpha=1.0, variant="expected")
+        other = lewis_game(n_candidates=4)
+        model = exact_listener_model(codebook_listener, other)
+        with pytest.raises(DomainMismatchError):
+            map_target(record(lewis3, ("a",), ["pick0"]), lewis3, cfg,
+                       listener_model=model)
+        model = exact_listener_model(codebook_listener, lewis3)
+        with pytest.raises(ConfigError, match="not in vocab"):
+            map_target(record(lewis3, ("zz",), ["pick0"]), lewis3, cfg,
+                       listener_model=model)
+
+
 class TestFitBroca:
     def test_noiseless_full_coverage_recovers_codebook(self,
                                                        noiseless_lewis_community):
@@ -291,6 +306,24 @@ class TestFitWernicke:
         a = fit_wernicke(dataset, lewis_community.game, cfg)
         b = fit_wernicke(dataset.public(), lewis_community.game, cfg)
         assert a.table == b.table
+
+
+def test_fits_do_not_copy_records(lewis_community, monkeypatch):
+    """The estimators read (message, trajectory) pairs, not public() copies."""
+    from cooplang.data import InteractionDataset
+
+    dataset = collect(lewis_community, 50, master_seed=1)
+
+    def copied(self):
+        raise AssertionError("public() copies every record")
+
+    monkeypatch.setattr(InteractionDataset, "public", copied)
+    game = lewis_community.game
+    assert fit_broca(dataset, game).table
+    for variant in ("literal", "expected"):
+        model = exact_listener_model(lewis_community.listeners[0], game)
+        assert fit_wernicke(dataset, game, MapConfig(variant=variant),
+                            listener_model=model).table
 
 
 class TestModelSerialization:

@@ -325,18 +325,53 @@ def _behaviour(game, listener, message):
     return out
 
 
-@pytest.fixture(params=["lewis", "sm_2x2"])
-def noisy_game(request, sm_2x2):
+@pytest.fixture(params=["lewis", "sm_2x2", "sm_3x3-eps0"])
+def noisy_game(request, sm_2x2, sm_3x3):
+    """A community per game; the noiseless 3x3 one has point-mass behaviours."""
     from cooplang import CommunityConfig, build_community, lewis_game
-    game = (lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"),
-                       max_msg_len=2)
-            if request.param == "lewis" else sm_2x2)
+    game = {"lewis": lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"),
+                                max_msg_len=2),
+            "sm_2x2": sm_2x2, "sm_3x3-eps0": sm_3x3}[request.param]
+    epsilon = 0.0 if request.param == "sm_3x3-eps0" else 0.1
     com = build_community(
-        CommunityConfig(game=game, epsilon=0.1, codebook_k=8), 0)
+        CommunityConfig(game=game, epsilon=epsilon, codebook_k=8), 0)
     return game, com
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 class TestTables:
+    @pytest.mark.parametrize("name", ["lewis", "sm_2x2", "sm_3x3"])
+    def test_every_edit_row_is_trajectory_distance(self, name, lewis3,
+                                                   sm_2x2, sm_3x3):
+        game = {"lewis": lewis3, "sm_2x2": sm_2x2, "sm_3x3": sm_3x3}[name]
+        table = game.table
+        for i, t in enumerate(table.trajs):
+            want = [trajectory_distance(t, u) for u in table.trajs]
+            assert (_bits(table.row(i)) == _bits(want)).all()
+
+    def test_edit_rows_of_a_long_horizon(self):
+        from cooplang import supermarket_game
+        # no episode of 5 steps collects both items, so 5**5 trajectories
+        game = supermarket_game(3, 3, {"milk": (0, 1), "bread": (2, 2)},
+                                ["milk", "bread"], (0, 0), 5, tuple("ab"))
+        table = game.table
+        assert len(table.trajs) == 3125
+        for i in range(0, 3125, 157):  # 20 rows
+            want = [trajectory_distance(table.trajs[i], u) for u in table.trajs]
+            assert (_bits(table.row(i)) == _bits(want)).all()
+
+    def test_column_of_a_prefix_is_trajectory_distance(self, sm_3x3):
+        from cooplang import make_trajectory
+        table = sm_3x3.table
+        for actions in [("S",), ("E", "E"), ("pick", "N")]:
+            tau = make_trajectory(sm_3x3, actions)
+            assert tau.actions not in table.index
+            want = [trajectory_distance(u, tau) for u in table.trajs]
+            assert (_bits(table.column(tau)) == _bits(want)).all()
+
     def test_one_lp_per_distinct_plan_pair(self, sm_2x2, monkeypatch):
         from cooplang import CommunityConfig, build_community
         from cooplang.community import speaker_message_dist
