@@ -158,8 +158,13 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
     Given a game, every message must be a message of the game and every
     trajectory one of its table, steps included.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(raw.count(b"\n", 0, exc.start) + 1,
+                                f"not UTF-8: {exc.reason}") from None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -178,6 +183,9 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
     fp = header.get("game_fingerprint")
     if not isinstance(fp, str):
         raise DatasetParseError(1, "header has no game_fingerprint string")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DatasetParseError(1, "header meta is not a JSON object")
     if game is not None and fp != game_fingerprint(game):
         raise FingerprintMismatchError(
             f"dataset game {fp} does not match provided game "
@@ -203,5 +211,4 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
         # JSONDecodeError is a ValueError; validate_message raises ConfigError
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DatasetParseError(lineno, str(exc)) from exc
-    return InteractionDataset(game_fingerprint=fp, records=records,
-                              meta=header.get("meta", {}))
+    return InteractionDataset(game_fingerprint=fp, records=records, meta=meta)

@@ -21,6 +21,7 @@ from .community import (
     speaker_sample,
     target_prior_sample,
 )
+from .games import Trajectory
 from .inference import BrocaModel, WernickeModel, broca_emit, wernicke_decode
 from .rng import pcg64_states, streams
 from .schema import RUN, check
@@ -108,9 +109,13 @@ def eval_speaker(broca: BrocaModel, community: Community, n: int,
             "oracle": optimal_message(listener0, game, target),
             "random": random_msg,
         }
+        # a rollout depends only on the listener, the message and the stream
+        rolled: dict[Message, Trajectory] = {}
         for arm, message in arms.items():
-            arm_rng.bit_generator.state = arm_state
-            tau = rollout(game, listener, message, arm_rng)
+            tau = rolled.get(message)
+            if tau is None:
+                arm_rng.bit_generator.state = arm_state
+                tau = rolled[message] = rollout(game, listener, message, arm_rng)
             hits[arm] += tau.canonical_key == key
             returns[arm] += values[table.key_index[tau.canonical_key]]
 

@@ -148,7 +148,9 @@ class BrocaModel:
 def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
     """Reject a model document that is not a v1 `kind` model of this game.
 
-    tables names the keys that must map strings to dicts of int counts.
+    tables names the keys that must map strings to non-empty dicts of int
+    counts, as a fit on at least one record writes them: the decoders take
+    an argmax over a count table.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"a {kind} model must be a JSON object")
@@ -163,11 +165,12 @@ def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
         )
     for key in tables:
         table = doc.get(key)
-        if not (isinstance(table, dict)
-                and all(isinstance(h, dict)
+        if not (isinstance(table, dict) and table
+                and all(isinstance(h, dict) and h
                         and all(isinstance(c, int) for c in h.values())
                         for h in table.values())):
-            raise ConfigError(f"{kind} {key} must map keys to count tables")
+            raise ConfigError(
+                f"{kind} {key} must map keys to non-empty count tables")
 
 
 def _observed_pairs(dataset, game: GameSpec) -> list[tuple]:

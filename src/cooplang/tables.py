@@ -7,7 +7,9 @@ Wagner-Fischer pass over the action-id matrix. A ListenerTable adds one
 listener's behaviour: a matrix P with one row per distinct behaviour of
 its plans (the default plan included), a message -> row map, the optimal
 message per target and, per lift, the plan x plan semantic matrix S, built
-whole on first read by `semantics._lift`. Entries have the dict API's bits.
+whole on first read by `semantics._lift`; under Wasserstein-1 the block
+between point-mass rows is read from D instead. Entries have the dict API's
+bits.
 
 Tables hang off the objects that own their inputs: a game builds its
 GameTable on first use (`GameSpec.table`), and a listener keeps its
@@ -149,7 +151,15 @@ class ListenerTable:
             # values do not depend on the cap, which the check above applied
             whole = replace(cfg, wasserstein_support_cap=len(self.game.trajs))
             S = np.zeros((len(self.P),) * 2)
-            for b, c in itertools.combinations(range(len(self.P)), 2):
+            pairs = itertools.combinations(range(len(self.P)), 2)
+            if cfg.dist_lift == "wasserstein1":
+                # W1 between point masses is the distance of their atoms
+                point = np.flatnonzero(self.nnz == 1)
+                atoms = self.P[point].argmax(axis=1)
+                S[np.ix_(point, point)] = self.game.cost(atoms, atoms)
+                pairs = [(b, c) for b, c in pairs
+                         if self.nnz[b] > 1 or self.nnz[c] > 1]
+            for b, c in pairs:
                 S[b, c] = S[c, b] = semantics._lift(
                     self.P[b], self.P[c], self.game.cost, whole)
             self._S[cfg.dist_lift] = S  # whole, or not at all

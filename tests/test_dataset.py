@@ -163,6 +163,24 @@ class TestPersistence:
                                match=f"line 3: {key} must be"):
                 load(path, game=against)
 
+    @pytest.mark.parametrize("meta", ["[1, 2]", "null", '"x"'])
+    def test_header_meta_must_be_an_object(self, tmp_path, meta):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"format_version":1,"game_fingerprint":"f",'
+                        f'"meta":{meta}}}\n')
+        with pytest.raises(DatasetParseError, match="line 1: header meta"):
+            load(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, lewis_community,
+                                                     tmp_path):
+        path = tmp_path / "d.jsonl"
+        save(collect(lewis_community, 3, master_seed=0), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:12] + b"\xff" + lines[2][12:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetParseError, match="line 3: not UTF-8"):
+            load(path)
+
 
 class TestLoadAgainstGame:
     @staticmethod

@@ -375,3 +375,16 @@ class TestModelSerialization:
         doc["format_version"] = 99
         with pytest.raises(ConfigError):
             BrocaModel.from_json_dict(doc, lewis3)
+
+    def test_empty_count_tables_rejected(self, lewis3,
+                                         noiseless_lewis_community):
+        # every decoder takes an argmax over a count table
+        dataset = collect(noiseless_lewis_community, 20, master_seed=0)
+        models = [(BrocaModel, fit_broca(dataset, lewis3), "backoff_table"),
+                  (WernickeModel, fit_wernicke(dataset, lewis3, MapConfig()),
+                   "table")]
+        for cls, model, key in models:
+            for empty in ({}, {k: {} for k in model.to_json_dict()[key]}):
+                doc = {**model.to_json_dict(), key: empty}
+                with pytest.raises(ConfigError, match="non-empty"):
+                    cls.from_json_dict(doc, lewis3)

@@ -462,3 +462,141 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def _shuffle_loop(episodes, cfg, seed=0):
+    """positive_signalling_test as one shuffle and one MI at a time."""
+    from cooplang.semantics import _encode, _mutual_information
+
+    x = _encode([(tuple(obs), tuple(act)) for obs, act, _ in episodes])
+    y = _encode([tuple(msg) for _, _, msg in episodes])
+    stat = _mutual_information(x, y)
+
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    for _ in range(cfg.permutations):
+        if _mutual_information(x, rng.permutation(y)) >= stat:
+            exceed += 1
+    p_value = (1 + exceed) / (1 + cfg.permutations)
+    return stat, p_value
+
+
+def _signalling_inputs(count):
+    """Seeded episode lists: few classes, correlated or independent columns."""
+    for i in range(count):
+        rng = np.random.default_rng([7, i])
+        big = i % 64 == 0
+        n = int(rng.integers(1000, 3000) if big else rng.integers(30, 120))
+        permutations = int(rng.integers(1000, 1501) if big
+                           else rng.integers(100, 200))
+        nx, ny = (int(k) for k in rng.integers(1, 5, size=2))
+        x = rng.integers(nx, size=n)
+        rho = rng.choice([0.0, 0.1, 0.3, 1.0])
+        y = np.where(rng.random(n) < rho, x % ny, rng.integers(ny, size=n))
+        episodes = [((), (f"pick{a}",), (f"m{b}",)) for a, b in zip(x, y)]
+        yield episodes, DistanceConfig(permutations=permutations), i
+
+
+class TestBatchedShuffles:
+    def test_matches_the_shuffle_loop(self, monkeypatch):
+        import cooplang.semantics
+
+        mi_calls = []
+        real = cooplang.semantics._mutual_information
+
+        def counting(x, y):
+            mi_calls.append(1)
+            return real(x, y)
+
+        p_values = set()
+        rechecked = 0
+        for episodes, cfg, seed in _signalling_inputs(320):
+            want = _shuffle_loop(episodes, cfg, seed)
+            mi_calls.clear()
+            monkeypatch.setattr(cooplang.semantics, "_mutual_information",
+                                counting)
+            report = positive_signalling_test(episodes, cfg, seed=seed)
+            monkeypatch.undo()
+            assert (report.statistic, report.p_value) == want
+            p_values.add(report.p_value)
+            rechecked += len(mi_calls) > 1
+        # ties against the observed statistic were decided by the MI
+        assert len(p_values) > 50 and rechecked > 50
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 257])
+    def test_permuted_rows_are_successive_permutations(self, n):
+        y = np.arange(n) % 3
+        for seed in range(4):
+            for b in (1, 3, 8):
+                ours = np.random.default_rng(seed)
+                numpy = np.random.default_rng(seed)
+                rows = ours.permuted(np.broadcast_to(y, (b, n)), axis=1)
+                want = np.stack([numpy.permutation(y) for _ in range(b)])
+                assert np.array_equal(rows, want)
+                assert ours.random() == numpy.random()
+
+
+class TestPointMassBlock:
+    def test_no_lift_between_point_masses(self, sm_3x3, monkeypatch):
+        from cooplang import CommunityConfig, build_community
+        from cooplang.tables import listener_table
+        import cooplang.semantics
+
+        lifted = []
+        real = cooplang.semantics._lift
+
+        def counting(pv, qv, cost_of, cfg):
+            lifted.append(((pv > 0).sum(), (qv > 0).sum(), cfg.dist_lift))
+            return real(pv, qv, cost_of, cfg)
+
+        monkeypatch.setattr(cooplang.semantics, "_lift", counting)
+        com = build_community(
+            CommunityConfig(game=sm_3x3, epsilon=0.0, codebook_k=64), 0)
+        table = listener_table(com.listeners[0], sm_3x3)
+        rows = np.arange(len(table.P))
+        assert (table.nnz == 1).all() and len(rows) > 60
+        lifts = ("wasserstein1", "total_variation")
+        S = {lift: np.array([table.distances(a, rows,
+                                             DistanceConfig(dist_lift=lift))
+                             for a in rows]) for lift in lifts}
+        assert len(lifted) == len(rows) * (len(rows) - 1) // 2
+        assert all(lift == "total_variation" for _, _, lift in lifted)
+        behaviours = [dict(zip(table.game.trajs, p)) for p in table.P]
+        for lift in lifts:
+            cfg = DistanceConfig(dist_lift=lift)
+            for b, c in itertools.combinations(rows, 2):
+                want = distribution_distance(behaviours[b], behaviours[c], cfg)
+                assert S[lift][b, c] == S[lift][c, b] == want
+
+
+class TestTransportConstraints:
+    @staticmethod
+    def kron_build(n, m):
+        import scipy.sparse as sp
+
+        row = sp.kron(sp.eye(n), np.ones((1, m)))
+        col = sp.kron(np.ones((1, n)), sp.eye(m))
+        return sp.vstack([row, col]).tocsr()[:-1]
+
+    def test_same_matrix_as_the_kron_build(self):
+        from cooplang.semantics import _transport_constraints
+
+        for n, m in [(1, 2), (2, 1), (2, 2), (3, 5), (25, 25)]:
+            ours, want = _transport_constraints(n, m), self.kron_build(n, m)
+            assert type(ours) is type(want) and ours.shape == want.shape
+            assert ours.dtype == want.dtype
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(ours, field),
+                                      getattr(want, field))
+
+    def test_a_solve_leaves_the_cached_matrix_unchanged(self):
+        from cooplang.semantics import _lift, _transport_constraints
+
+        pv, qv = np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.1, 0.8])
+        cost = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d = _lift(pv, qv, lambda p, q: cost[np.ix_(p, q)], DistanceConfig())
+        assert d > 0
+        cached, want = _transport_constraints(3, 3), self.kron_build(3, 3)
+        assert (cached != want).nnz == 0
+        assert _lift(pv, qv, lambda p, q: cost[np.ix_(p, q)],
+                     DistanceConfig()) == d
