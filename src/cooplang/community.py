@@ -318,7 +318,7 @@ def _speaker_table(
         mstar = table.row(table.optimal_message(target))
         dists = table.distances(mstar, table.message_rows[1:], DistanceConfig())
         cached = speaker._dist_cache[fp, target.canonical_key] = (
-            table.messages[1:], dists, _cdf(_boltzmann(-dists, speaker.temp_msg)))
+            table.game.messages[1:], dists, _cdf(_boltzmann(-dists, speaker.temp_msg)))
     return cached
 
 
@@ -343,6 +343,55 @@ def speaker_sample(speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
     if speaker.greedy_msg:
         return msgs[int(np.argmin(dists))]
     return msgs[_draw(cdf, rng)]
+
+
+# Every episode of a run at once: rng is a PCG64Array with one stream per
+# episode, and each function makes the draws of its one-episode counterpart
+# on every stream, in the same order, so stream i's results are that
+# function's on default_rng stream i.
+
+def _sample_targets(community: Community, rng) -> np.ndarray:
+    """target_prior_sample per stream, as trajectory ids."""
+    if community.config.greedy_target:
+        values = community.trajectory_values()
+        return np.full(len(rng), int(np.argmax(values)))
+    return community._prior_cdf.searchsorted(rng.random(), side="right")
+
+
+def _sample_messages(community: Community, speaker_ids: np.ndarray,
+                     targets: np.ndarray, rng) -> np.ndarray:
+    """speaker_sample per stream, as ids into `game.table.messages`; one
+    table read per distinct (speaker, target)."""
+    speakers, trajs = community.speakers, community.game.table.trajs
+    draws = ~np.array([s.greedy_msg for s in speakers])[speaker_ids]
+    u = np.zeros(len(rng))
+    u[draws] = rng.random(draws)
+    pairs, group = np.unique(speaker_ids * len(trajs) + targets,
+                             return_inverse=True)
+    out = np.empty(len(rng), np.int64)
+    for g, pair in enumerate(pairs.tolist()):
+        s, t = divmod(pair, len(trajs))
+        mine = group == g
+        _, dists, cdf = _speaker_table(speakers[s], community.game, trajs[t])
+        out[mine] = 1 + (np.argmin(dists) if speakers[s].greedy_msg
+                         else cdf.searchsorted(u[mine], side="right"))
+    return out
+
+
+def _rollouts(community: Community, listener_ids: np.ndarray,
+              message_ids: np.ndarray, rng) -> np.ndarray:
+    """rollout per stream, as trajectory ids; messages are ids into
+    `game.table.messages`."""
+    table = community.game.table
+    planned = np.empty((len(rng), table.ids.shape[1]), np.int64)
+    epsilon = np.empty(len(rng))
+    for j in np.unique(listener_ids).tolist():
+        mine = listener_ids == j
+        behaviour = listener_table(community.listeners[j], community.game)
+        planned[mine] = behaviour.plan_actions[
+            behaviour.message_plans[message_ids[mine]]]
+        epsilon[mine] = community.listeners[j].epsilon
+    return table.walk(planned, epsilon, rng)
 
 
 COMMUNITY_FORMAT_VERSION = 1

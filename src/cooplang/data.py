@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from .community import (
     Community,
     Message,
-    rollout,
-    speaker_sample,
-    target_prior_sample,
+    _rollouts,
+    _sample_messages,
+    _sample_targets,
     validate_message,
 )
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     FingerprintMismatchError,
 )
 from .games import GameSpec, Trajectory, game_fingerprint
-from .rng import streams
+from .rng import PCG64Array
 from .schema import RUN, check
 
 DATASET_FORMAT_VERSION = 1
@@ -59,26 +59,33 @@ def collect(community: Community, n_episodes: int, master_seed: int,
             timestamp: str = "") -> InteractionDataset:
     """Generate n_episodes interactions; deterministic given master_seed.
 
-    Per episode the rng stream is derived from (master_seed, index), so
-    episodes are independent and reproducible individually.
+    Episode i draws from default_rng([master_seed, i]), so episodes are
+    independent and reproducible individually: its target, speaker and
+    listener (target_prior_sample, integers), message (speaker_sample) and
+    trajectory (rollout). All episodes are drawn at once.
     """
     check("run", RUN, {"n_episodes": n_episodes})
     game = community.game
-    records = []
-    for i, rng in enumerate(streams((master_seed,), n_episodes)):
-        target = target_prior_sample(community, rng)
-        s_idx = int(rng.integers(len(community.speakers)))
-        l_idx = int(rng.integers(len(community.listeners)))
-        message = speaker_sample(community.speakers[s_idx], game, target, rng)
-        tau = rollout(game, community.listeners[l_idx], message, rng)
-        records.append(InteractionRecord(
-            message=message,
-            trajectory=tau,
-            hidden_target=target,
+    table = game.table
+    rng = PCG64Array((master_seed,), n_episodes)
+    targets = _sample_targets(community, rng)
+    speakers = rng.integers(len(community.speakers))
+    listeners = rng.integers(len(community.listeners))
+    messages = _sample_messages(community, speakers, targets, rng)
+    taus = _rollouts(community, listeners, messages, rng)
+    records = [
+        InteractionRecord(
+            message=table.messages[m],
+            trajectory=table.trajs[tau],
+            hidden_target=table.trajs[target],
             episode_seed=i,
-            speaker_id=f"speaker{s_idx}",
-            listener_id=f"listener{l_idx}",
-        ))
+            speaker_id=f"speaker{s}",
+            listener_id=f"listener{j}",
+        )
+        for i, (m, tau, target, s, j) in enumerate(zip(
+            messages.tolist(), taus.tolist(), targets.tolist(),
+            speakers.tolist(), listeners.tolist()))
+    ]
     meta = {
         "community_seed": community.seed,
         "epsilon": community.config.epsilon,
@@ -102,18 +109,33 @@ def _traj_to_json(tau: Trajectory | None):
 
 
 def _traj_from_json(doc, fp: str, game: GameSpec | None) -> Trajectory | None:
-    """The stored trajectory; given a game, the game table's own one."""
+    """The stored trajectory; given a game, the game table's own one.
+
+    Given a game, the steps must be that trajectory's steps. Without one,
+    the steps must be [state, action, reward] arrays and the key the one
+    `canonical_key_for` builds from them.
+    """
     if doc is None:
         return None
-    steps = tuple((s, a, r) for s, a, r in doc["steps"])
-    key = doc["canonical_key"]
-    if game is None:
-        return Trajectory(steps=steps, canonical_key=key, game_fingerprint=fp)
-    table = game.table
-    i = table.key_index.get(key)
-    if i is None or table.trajs[i].steps != steps:
-        raise ValueError(f"{key!r} is not a trajectory of the game")
-    return table.trajs[i]
+    steps, key = doc["steps"], doc["canonical_key"]
+    if game is not None:
+        table = game.table
+        i = table.key_index.get(key)
+        if i is None or table.trajs[i].steps != tuple(map(tuple, steps)):
+            raise ValueError(f"{key!r} is not a trajectory of the game")
+        return table.trajs[i]
+    if type(steps) is not list or any(
+            type(step) is not list or len(step) != 3 for step in steps):
+        raise ValueError(f"steps must be [state, action, reward] arrays, "
+                         f"got {steps!r}")
+    if type(key) is not str:
+        raise ValueError(f"canonical_key must be a string, got {key!r}")
+    # the initial digest (the key's own for an empty trajectory), the actions
+    start = steps[0][0] if steps else key.partition("::")[0]
+    if key != start + "::" + ",".join(a for _, a, _ in steps):
+        raise ValueError(f"canonical_key {key!r} does not match its steps")
+    return Trajectory(steps=tuple(map(tuple, steps)), canonical_key=key,
+                      game_fingerprint=fp)
 
 
 def _dumps(doc: dict) -> str:
@@ -121,23 +143,46 @@ def _dumps(doc: dict) -> str:
 
 
 def save(dataset: InteractionDataset, path) -> None:
-    """JSONL: one header line, then one record per line."""
+    """JSONL: one header line, then one record per line.
+
+    A record line is `_dumps` of its fields. Each distinct trajectory,
+    message and id is dumped once, and a line is built from those texts
+    in sorted-key order, which gives the same bytes.
+    """
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "game_fingerprint": dataset.game_fingerprint,
         "meta": dataset.meta,
     }
+    # keyed by identity: records that share a trajectory object share its text
+    trajs: dict[int, str] = {}
+    texts: dict = {}
+
+    def traj(tau) -> str:
+        text = trajs.get(id(tau))
+        if text is None:
+            text = trajs[id(tau)] = _dumps(_traj_to_json(tau))
+        return text
+
+    def value(v) -> str:
+        if type(v) is int:  # json.dumps writes an int as its repr
+            return repr(v)
+        key = (type(v), v)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _dumps(v)
+        return text
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dumps(header) + "\n")
-        for rec in dataset.records:
-            fh.write(_dumps({
-                "message": list(rec.message.tokens),
-                "trajectory": _traj_to_json(rec.trajectory),
-                "hidden_target": _traj_to_json(rec.hidden_target),
-                "episode_seed": rec.episode_seed,
-                "speaker_id": rec.speaker_id,
-                "listener_id": rec.listener_id,
-            }) + "\n")
+        fh.writelines(
+            f'{{"episode_seed":{value(rec.episode_seed)},'
+            f'"hidden_target":{traj(rec.hidden_target)},'
+            f'"listener_id":{value(rec.listener_id)},'
+            f'"message":{value(rec.message.tokens)},'
+            f'"speaker_id":{value(rec.speaker_id)},'
+            f'"trajectory":{traj(rec.trajectory)}}}\n'
+            for rec in dataset.records)
 
 
 def _check_fields(doc: dict) -> None:

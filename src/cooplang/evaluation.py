@@ -15,15 +15,13 @@ import numpy as np
 
 from .community import (
     Community,
-    Message,
-    enumerate_messages,
-    rollout,
-    speaker_sample,
-    target_prior_sample,
+    _rollouts,
+    _sample_messages,
+    _sample_targets,
+    validate_message,
 )
-from .games import Trajectory
 from .inference import BrocaModel, WernickeModel, broca_emit, wernicke_decode
-from .rng import pcg64_states, streams
+from .rng import PCG64Array
 from .schema import RUN, check
 from .semantics import optimal_message
 
@@ -81,98 +79,98 @@ def report_csv(report) -> str:
     return buf.getvalue()
 
 
+def _ordered_sum(values) -> float:
+    """0.0 + values[0] + values[1] + ..., left to right, as a loop adds them."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
 def eval_speaker(broca: BrocaModel, community: Community, n: int,
                  seed: int) -> SpeakerReport:
-    """Monte Carlo forward-problem evaluation with oracle/random baselines."""
+    """Monte Carlo forward-problem evaluation with oracle/random baselines.
+
+    Episode i draws its target, listener and random message from
+    default_rng([seed, i]); each arm's message is rolled out from the same
+    default_rng([seed, i, 1]). All episodes are drawn at once.
+    """
     check("run", RUN, {"n_episodes": n})
     game = community.game
     table = game.table
-    values = table.values.tolist()
-    msgs = enumerate_messages(game)
-    listener0 = community.listeners[0]
+    rng = PCG64Array((seed,), n)
+    targets = _sample_targets(community, rng)
+    listeners = rng.integers(len(community.listeners))
+    random_msgs = 1 + rng.integers(len(table.messages) - 1)
 
-    hits = {"model": 0, "oracle": 0, "random": 0}
-    returns = {"model": 0.0, "oracle": 0.0, "random": 0.0}
-    emitted: dict[str, Message] = {}
-    # every arm replays the same stream: default_rng([seed, i, 1])
-    arm_rng = np.random.Generator(np.random.PCG64())
-    arm_states = pcg64_states((seed,), n, (1,))
-    for rng, arm_state in zip(streams((seed,), n), arm_states):
-        target = target_prior_sample(community, rng)
-        listener = community.listeners[int(rng.integers(len(community.listeners)))]
-        random_msg = msgs[int(rng.integers(len(msgs)))]
-        key = target.canonical_key
-        if key not in emitted:
-            emitted[key] = broca_emit(broca, target)
-        arms = {
-            "model": emitted[key],
-            "oracle": optimal_message(listener0, game, target),
-            "random": random_msg,
+    # each distinct target's model and oracle messages, in episode order
+    distinct, first, where = np.unique(targets, return_index=True,
+                                       return_inverse=True)
+    model, oracle = np.empty((2, len(distinct)), np.int64)
+    for g in np.argsort(first).tolist():
+        target = table.trajs[distinct[g]]
+        message = broca_emit(broca, target)
+        validate_message(game, message)
+        model[g] = table.message_ids[message.canonical()]
+        oracle[g] = table.message_ids[optimal_message(
+            community.listeners[0], game, target).canonical()]
+
+    arm_rng = PCG64Array((seed,), n, (1,))
+    arms = {"model": model[where], "oracle": oracle[where],
+            "random": random_msgs}
+    metrics = {}
+    for arm, messages in arms.items():
+        taus = _rollouts(community, listeners, messages, arm_rng.copy())
+        metrics[arm] = {
+            "success_rate": int(np.count_nonzero(taus == targets)) / n,
+            "mean_return": _ordered_sum(table.values[taus]) / n,
         }
-        # a rollout depends only on the listener, the message and the stream
-        rolled: dict[Message, Trajectory] = {}
-        for arm, message in arms.items():
-            tau = rolled.get(message)
-            if tau is None:
-                arm_rng.bit_generator.state = arm_state
-                tau = rolled[message] = rollout(game, listener, message, arm_rng)
-            hits[arm] += tau.canonical_key == key
-            returns[arm] += values[table.key_index[tau.canonical_key]]
-
-    def metrics(arm):
-        return {"success_rate": hits[arm] / n, "mean_return": returns[arm] / n}
-
-    model = metrics("model")
     return SpeakerReport(
-        success_rate=model["success_rate"],
-        mean_return=model["mean_return"],
-        baselines={"oracle": metrics("oracle"), "random": metrics("random")},
+        success_rate=metrics["model"]["success_rate"],
+        mean_return=metrics["model"]["mean_return"],
+        baselines={"oracle": metrics["oracle"], "random": metrics["random"]},
         n=n,
     )
 
 
 def eval_listener(wernicke: WernickeModel, community: Community, n: int,
                   seed: int) -> ListenerReport:
-    """Monte Carlo backward-problem evaluation against ground-truth targets."""
+    """Monte Carlo backward-problem evaluation against ground-truth targets.
+
+    Episode i draws its target, speaker, listener and message from
+    default_rng([seed, i]), and the listener's trajectory from
+    default_rng([seed, i, 1]). All episodes are drawn at once.
+    """
     check("run", RUN, {"n_episodes": n})
     game = community.game
     table = game.table
-    values = table.values.tolist()
+    rng = PCG64Array((seed,), n)
+    targets = _sample_targets(community, rng)
+    speakers = rng.integers(len(community.speakers))
+    listeners = rng.integers(len(community.listeners))
+    messages = _sample_messages(community, speakers, targets, rng)
+    observed = _rollouts(community, listeners, messages,
+                         PCG64Array((seed,), n, (1,)))
 
-    hits = {"model": 0, "literal": 0}
-    dists = {"model": 0.0, "literal": 0.0}
-    target_values = {"model": 0.0, "literal": 0.0}
-    episodes = zip(streams((seed,), n), streams((seed,), n, (1,)))
-    for rng, rollout_rng in episodes:
-        target = target_prior_sample(community, rng)
-        speaker = community.speakers[int(rng.integers(len(community.speakers)))]
-        listener = community.listeners[int(rng.integers(len(community.listeners)))]
-        message = speaker_sample(speaker, game, target, rng)
-        observed = rollout(game, listener, message, rollout_rng)
-        estimates = {
-            "model": wernicke_decode(wernicke, message),
-            "literal": observed,
+    # each distinct message decoded once
+    distinct, where = np.unique(messages, return_inverse=True)
+    decoded = np.array([
+        table.key_index[wernicke_decode(wernicke, table.messages[m])
+                        .canonical_key] for m in distinct.tolist()])
+    estimates = {"model": decoded[where], "literal": observed}
+
+    # estimates and targets are table trajectories: read D and V
+    metrics = {}
+    for arm, est in estimates.items():
+        rows, row = np.unique(est, return_inverse=True)
+        D = np.array([table.row(e) for e in rows.tolist()])
+        metrics[arm] = {
+            "recovery_rate": int(np.count_nonzero(est == targets)) / n,
+            "mean_distance": _ordered_sum(D[row, targets]) / n,
+            "mean_target_value": _ordered_sum(table.values[est]) / n,
         }
-        # estimates and targets are table trajectories: read D and V
-        t = table.key_index[target.canonical_key]
-        for arm, est in estimates.items():
-            e = table.key_index[est.canonical_key]
-            hits[arm] += e == t
-            dists[arm] += float(table.row(e)[t])
-            target_values[arm] += values[e]
-
-    def metrics(arm):
-        return {
-            "recovery_rate": hits[arm] / n,
-            "mean_distance": dists[arm] / n,
-            "mean_target_value": target_values[arm] / n,
-        }
-
-    model = metrics("model")
+    model = metrics["model"]
     return ListenerReport(
         recovery_rate=model["recovery_rate"],
         mean_distance=model["mean_distance"],
         mean_target_value=model["mean_target_value"],
-        literal_baseline=metrics("literal"),
+        literal_baseline=metrics["literal"],
         n=n,
     )

@@ -48,7 +48,7 @@ def boltzmann_message_likelihood(
 ) -> float:
     """exp(-S(m*, m)) normalized over all messages of length 1..L."""
     table = listener_table(listener, game)
-    msgs = table.messages[1:]
+    msgs = table.game.messages[1:]
     canon = message.canonical()
     index = next((i for i, m in enumerate(msgs) if m.canonical() == canon), None)
     if index is None:

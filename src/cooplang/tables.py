@@ -1,11 +1,13 @@
 """Index tables compiled once per game and once per (game, listener).
 
 A GameTable numbers the enumerated trajectories of a game in canonical-key
-order and holds their returns V, a padded action-id matrix, and the edit
+order and holds their returns V, a padded action-id matrix, the edit
 distance matrix D, a row at a time on first use, each row one vectorized
-Wagner-Fischer pass over the action-id matrix. A ListenerTable adds one
-listener's behaviour: a matrix P with one row per distinct behaviour of
-its plans (the default plan included), a message -> row map, the optimal
+Wagner-Fischer pass over the action-id matrix, the game's messages, and a
+prefix trie of the trajectories that `walk` rolls out many episodes down
+at once. A ListenerTable adds one listener's behaviour: a plan x step
+action-id matrix, a matrix P with one row per distinct behaviour of its
+plans (the default plan included), a message -> plan map, the optimal
 message per target and, per lift, the plan x plan semantic matrix S, built
 whole on first read by `semantics._lift`; under Wasserstein-1 the block
 between point-mass rows is read from D instead. Entries have the dict API's
@@ -55,6 +57,54 @@ class GameTable:
             self.ids[i, :len(t)] = [self._action_id[a] for a in t.actions]
         self._rows: dict[int, np.ndarray] = {}
 
+    @cached_property
+    def messages(self) -> list:
+        """Every message, the null message first, in enumeration order."""
+        from .community import enumerate_messages  # community imports this module
+        return enumerate_messages(self.game, include_null=True)
+
+    @cached_property
+    def message_ids(self) -> dict[str, int]:
+        """Canonical form -> index in `messages`."""
+        return {m.canonical(): i for i, m in enumerate(self.messages)}
+
+    @cached_property
+    def _trie(self) -> tuple[np.ndarray, np.ndarray]:
+        """child[node, action] and, per node, the trajectory that ends there
+        (-1 inside); node 0 is the empty prefix. The enumeration expands
+        every action of a non-terminal state and is prefix-free, so every
+        inner node has every child and the leaves are the trajectories."""
+        child, leaf = [[-1] * len(self.env_actions)], [-1]
+        for i, (ids, n) in enumerate(zip(self.ids.tolist(),
+                                         self.lengths.tolist())):
+            node = 0
+            for a in ids[:n]:
+                if child[node][a] < 0:
+                    child[node][a] = len(leaf)
+                    child.append([-1] * len(self.env_actions))
+                    leaf.append(-1)
+                node = child[node][a]
+            leaf[node] = i
+        return np.array(child), np.array(leaf)
+
+    def walk(self, planned: np.ndarray, epsilon: np.ndarray, rng) -> np.ndarray:
+        """Trajectory ids of one walk per stream of rng (a PCG64Array).
+
+        At step k, walk i draws u = random() if epsilon[i] > 0 and takes
+        action integers(len(env_actions)) when u < epsilon[i], else action
+        id planned[i, k]: `community.rollout`'s draws, in its order.
+        """
+        child, leaf = self._trie
+        node = np.zeros(len(planned), np.int64)
+        for k in range(planned.shape[1]):
+            live = leaf[node] < 0
+            action = planned[:, k].copy()
+            noisy = live & (epsilon > 0)
+            noisy[noisy] = rng.random(noisy) < epsilon[noisy]
+            action[noisy] = rng.integers(len(self.env_actions), noisy)
+            node[live] = child[node[live], action[live]]
+        return leaf[node]
+
     def _edit_row(self, a) -> np.ndarray:
         """Normalized edit distances from action ids a to every trajectory,
         by one Wagner-Fischer table per trajectory, all advanced together;
@@ -97,40 +147,42 @@ class ListenerTable:
 
     def __init__(self, game: GameTable, listener):
         self.game = game
+        # plan 0 is the default plan, which unknown messages fall back to
         plans = list(dict.fromkeys(
             (listener.default_plan, *listener.codebook.values())))
+        self.plan_actions = _plan_actions(game, plans, listener)
         # plans with equal behaviour share a row, so a != b means P[a] != P[b]
         self.P, rows = np.unique(_plan_probs(game, plans, listener), axis=0,
                                  return_inverse=True)
-        row_of_plan = dict(zip(plans, rows.ravel().tolist()))
+        self.plan_rows = rows.ravel()
         self.nnz = (self.P > 0).sum(axis=1)
-        self.default_row = row_of_plan[listener.default_plan]
-        self.row_of = {canon: row_of_plan[plan]
-                       for canon, plan in listener.codebook.items()}
+        plan_id = {plan: p for p, plan in enumerate(plans)}
+        self.plan_of = {canon: plan_id[plan]
+                        for canon, plan in listener.codebook.items()}
         self._mstar: dict[int, object] = {}
         self._S: dict[str, np.ndarray] = {}
 
     def row(self, message) -> int:
-        return self.row_of.get(message.canonical(), self.default_row)
+        return int(self.plan_rows[self.plan_of.get(message.canonical(), 0)])
 
     @cached_property
-    def messages(self) -> list:
-        """Every message, the null message first, in enumeration order."""
-        from .community import enumerate_messages  # community imports this module
-        return enumerate_messages(self.game.game, include_null=True)
+    def message_plans(self) -> np.ndarray:
+        """The plan of each of the game's messages, in `messages` order."""
+        return np.array([self.plan_of.get(m.canonical(), 0)
+                         for m in self.game.messages])
 
     @cached_property
     def message_rows(self) -> np.ndarray:
-        return np.array([self.row(m) for m in self.messages])
+        return self.plan_rows[self.message_plans]
 
     def optimal_message(self, target: Trajectory):
         """First message in enumeration order maximizing P(target | message)."""
         t = self.game.key_index.get(target.canonical_key)
         if t is None:  # P(target | m) = 0 for every m
-            return self.messages[0]
+            return self.game.messages[0]
         m = self._mstar.get(t)
         if m is None:
-            m = self._mstar[t] = self.messages[
+            m = self._mstar[t] = self.game.messages[
                 int(np.argmax(self.P[self.message_rows, t]))]
         return m
 
@@ -166,21 +218,31 @@ class ListenerTable:
         return S[a, rows]
 
 
-def _plan_probs(game: GameTable, plans, listener) -> np.ndarray:
-    """P[p, t]: the left-to-right product of listener.step_action_prob.
-
-    The k-th factor is computed for every trajectory at once from column k
-    of the action-id matrix; a trajectory that has ended before step k
-    keeps its product unchanged. A plan may only use the game's actions.
-    """
-    actions = np.array(game.env_actions)
-    probs = np.ones((len(plans), len(game.trajs)))
+def _plan_actions(game: GameTable, plans, listener) -> np.ndarray:
+    """A[p, k]: the id of the action plan p takes at step k, over the steps
+    some trajectory reaches. A plan may only use the game's actions."""
+    ids = np.empty((len(plans), game.ids.shape[1]), np.int64)
     for p, plan in enumerate(plans):
         for k in range(game.ids.shape[1]):
             planned = listener.planned_action(game.game, plan, k)
             if planned not in game.env_actions:
                 raise InvalidActionError(
                     f"action {planned!r} not in {game.env_actions}")
+            ids[p, k] = game._action_id[planned]
+    return ids
+
+
+def _plan_probs(game: GameTable, plans, listener) -> np.ndarray:
+    """P[p, t]: the left-to-right product of listener.step_action_prob.
+
+    The k-th factor is computed for every trajectory at once from column k
+    of the action-id matrix; a trajectory that has ended before step k
+    keeps its product unchanged.
+    """
+    actions = np.array(game.env_actions)
+    probs = np.ones((len(plans), len(game.trajs)))
+    for p, plan in enumerate(plans):
+        for k in range(game.ids.shape[1]):
             step = listener.step_action_prob(game.game, plan, k,
                                              actions[game.ids[:, k]])
             probs[p] = np.where(k < game.lengths, probs[p] * step, probs[p])

@@ -1,6 +1,6 @@
 """The bytes of every CLI artifact, pinned.
 
-Five small configs run the seven pipeline commands in one process, and each
+Seven small configs run the seven pipeline commands in one process, and each
 artifact a command writes is checked against the sha256 it had when it was
 recorded. A change to how an episode consumes its rng stream, to the order
 of a sum, or to a file format changes some digest, so a change meant to
@@ -19,6 +19,11 @@ SM_2X2 = supermarket_game(
     width=2, height=2, items={"milk": (1, 1)}, shopping_list=["milk"],
     start=(0, 0), horizon=2, vocab=tuple("abcdefgh"),
     max_msg_len=2).to_json_dict()
+
+SM_3X3 = supermarket_game(
+    width=3, height=3, items={"milk": (0, 1), "bread": (2, 2)},
+    shopping_list=["milk", "bread"], start=(0, 0), horizon=3,
+    vocab=tuple("abcdefgh"), max_msg_len=2).to_json_dict()
 
 CONFIGS = {
     "lewis4-eps0.1": {
@@ -39,10 +44,7 @@ CONFIGS = {
     },
     # point-mass behaviours: every S entry is one D entry, no LP
     "sm3x3-eps0": {
-        "game": supermarket_game(
-            width=3, height=3, items={"milk": (0, 1), "bread": (2, 2)},
-            shopping_list=["milk", "bread"], start=(0, 0), horizon=3,
-            vocab=tuple("abcdefgh"), max_msg_len=2).to_json_dict(),
+        "game": SM_3X3,
         "community": {"epsilon": 0.0, "temp_msg": 1.0, "codebook_k": 64},
         "inference": {"alpha": 1.0},
         "run": {"n_episodes": 100, "seed": 3},
@@ -61,6 +63,24 @@ CONFIGS = {
         "inference": {"alpha": 1.0},
         "distances": {"dist_lift": "total_variation"},
         "run": {"n_episodes": 200, "seed": 3},
+    },
+    # three speakers and two listeners: bounded draws from the buffered
+    # uint32 half, and noise at every step of a horizon-3 episode
+    "sm3x3-eps0.1-3s2l": {
+        "game": SM_3X3,
+        "community": {"epsilon": 0.1, "temp_msg": 1.0, "codebook_k": 3,
+                      "n_speakers": 3, "n_listeners": 2},
+        "inference": {"alpha": 1.0},
+        "run": {"n_episodes": 100, "seed": 3},
+    },
+    # greedy targets and messages make no draw; only the rollouts do
+    "sm2x2-eps0.5-greedy": {
+        "game": SM_2X2,
+        "community": {"epsilon": 0.5, "temp_msg": 1.0, "codebook_k": 8,
+                      "greedy_msg": True, "greedy_target": True,
+                      "n_listeners": 2},
+        "inference": {"alpha": 1.0},
+        "run": {"n_episodes": 100, "seed": 3},
     },
 }
 
@@ -115,7 +135,8 @@ DIGESTS = {
             "c596d8239a2d93c012462d441336a21f7fceb88ef519d8d03f3bbea9de352bd7",
         "eval-listener/report.csv":
             "5c1e477f19b598a409e3a35b78efca6331076c2d9f01dcbcc9baa7b1fb30cfd1",
-    },    "sm3x3-eps0": {
+    },
+    "sm3x3-eps0": {
         "gen-community/community.json":
             "88fc2dfde8cce974140bfae553166323b179c236789afe55c34bcde4a4fdb4f4",
         "collect/dataset.jsonl":
@@ -174,6 +195,46 @@ DIGESTS = {
             "c596d8239a2d93c012462d441336a21f7fceb88ef519d8d03f3bbea9de352bd7",
         "eval-listener/report.csv":
             "5c1e477f19b598a409e3a35b78efca6331076c2d9f01dcbcc9baa7b1fb30cfd1",
+    },
+    "sm3x3-eps0.1-3s2l": {
+        "gen-community/community.json":
+            "46ca308406e2d974a099c4637ca08508e53a5212096b45e33d87755ebfbaba1d",
+        "collect/dataset.jsonl":
+            "c7661cdfbc5c5501b7f11fcab123826ba757db160bd084b8baf9c0861d9eb6a5",
+        "fit-broca/broca.json":
+            "3e9d69c2a6e86a4ca8b21ed46a221aa33e50fd76e0faa7f7c9e36354d08aa245",
+        "fit-wernicke/wernicke.json":
+            "1e61b98b236eeb67ae8f75f54baf400de4aa1e095f0178fc74486efcc1185047",
+        "detect/report.json":
+            "4b9638bda5c7b463a09274ed48f495d22b327aab5602efbd52cc996dee5ab368",
+        "eval-speaker/report.json":
+            "e6c6879a88a0d68e4ae9088d0228a632f4778664e50dbad7f7957e71c0327371",
+        "eval-speaker/report.csv":
+            "fd0fce87afb77b6e79c28910d01f30286fc3c8d8e07233d15fcf098c4db6a13b",
+        "eval-listener/report.json":
+            "652560d2763f380b968acb2ab96d176c2b4a1418ba83bde73d543bcf6af4d601",
+        "eval-listener/report.csv":
+            "23d3d0af4ff1f38303ec933b9aed0f1b1db61b0b645964ab3c80b7ab8f042ddc",
+    },
+    "sm2x2-eps0.5-greedy": {
+        "gen-community/community.json":
+            "e3d2ce8b6f044cc86dc6b5c08864488f3d8d3f0ceb8a4be6c9ae5f3a5980f148",
+        "collect/dataset.jsonl":
+            "0ffe4e6b7cf50e37fc4b8808989c9a1f550bbd629fa77245b6180e9fdb2ae7d7",
+        "fit-broca/broca.json":
+            "331ec19452b97f12d4d46149089a9fd4d4bda44b5aa21e960bf68426e96adaf4",
+        "fit-wernicke/wernicke.json":
+            "6ff699b1ad75050e8ebaa015a0151c07f78c84bd61891932bb0f67aa7690d55e",
+        "detect/report.json":
+            "95d8f33cd434d532c282d651180c7c37fae25c134fa5dae3d6d13c3c79d157d8",
+        "eval-speaker/report.json":
+            "ab8efff0f5312dad19c15f5a28ab93f0a5c6a23356fb744872ffde8199d7f378",
+        "eval-speaker/report.csv":
+            "ebb6d3dbbf48a76f15eb20eb0d5be402e4169203da3391c09b44961069632656",
+        "eval-listener/report.json":
+            "4acdb9c4479994b00010e07d5c70e828d96ca26f5f5908f2edc08c3a57f259a1",
+        "eval-listener/report.csv":
+            "77c2204adbd164467a453154781313cd185aec5940392722a1ec965d7eff6790",
     },
 }
 

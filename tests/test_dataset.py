@@ -137,6 +137,45 @@ class TestPersistence:
         with pytest.raises(DatasetParseError, match="line 3"):
             load(path)
 
+    @pytest.mark.parametrize("field", ["trajectory", "hidden_target"])
+    @pytest.mark.parametrize("edit,match", [
+        # a 3-key object would unpack into its three keys
+        (lambda t: t.update(steps=[{"x": 1, "y": 2, "z": 3}]), "steps must"),
+        (lambda t: t.update(steps=["abc"]), "steps must"),
+        (lambda t: t.update(steps={"a": 1}), "steps must"),
+        (lambda t: t.update(canonical_key="nonsense"), "does not match"),
+        (lambda t: t.update(canonical_key="start::pick1,pick2"),
+         "does not match"),
+        (lambda t: t["steps"][0].__setitem__(0, "picked:0"),
+         "does not match"),
+        (lambda t: t.update(canonical_key=7), "must be a string"),
+        (lambda t: t.update(steps=[], canonical_key=7), "must be a string"),
+    ], ids=["object-step", "string-step", "object-steps", "key",
+            "key-actions", "key-digest", "key-type", "empty-key-type"])
+    def test_trajectory_without_a_game_is_checked(self, lewis_community,
+                                                  tmp_path, field, edit,
+                                                  match):
+        path = tmp_path / "d.jsonl"
+        save(collect(lewis_community, 3, master_seed=0), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec[field])
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetParseError, match=f"line 3: .*{match}"):
+            load(path)
+
+    def test_empty_trajectory_keeps_its_key_without_a_game(self,
+                                                           lewis_community,
+                                                           tmp_path):
+        path = tmp_path / "d.jsonl"
+        save(collect(lewis_community, 3, master_seed=0), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["trajectory"] = {"steps": [], "canonical_key": "0,0|::"}
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        assert load(path).records[1].trajectory.canonical_key == "0,0|::"
 
     @pytest.mark.parametrize("key,value", [
         ("message", "ab"),          # a string is not a token list
@@ -196,19 +235,28 @@ class TestLoadAgainstGame:
             path.write_text("\n".join(lines) + "\n")
         return path
 
-    @pytest.mark.parametrize("edit", [
-        lambda r: r.update(message=["zz", "q"]),
-        lambda r: r.update(message=["a", "a"]),
-        lambda r: r["trajectory"].update(canonical_key="start::pick9"),
-        lambda r: r["hidden_target"].update(canonical_key="start::pick9"),
-        lambda r: r["trajectory"]["steps"][0].__setitem__(2, 5.0),
-        lambda r: r["trajectory"]["steps"].append(["start", "pick0", 0.0]),
+    # parses: whether a load without a game accepts the record, which it
+    # does unless the canonical key disagrees with the steps
+    @pytest.mark.parametrize("edit,parses", [
+        (lambda r: r.update(message=["zz", "q"]), True),
+        (lambda r: r.update(message=["a", "a"]), True),
+        (lambda r: r["trajectory"].update(canonical_key="start::pick9"),
+         False),
+        (lambda r: r["hidden_target"].update(canonical_key="start::pick9"),
+         False),
+        (lambda r: r["trajectory"]["steps"][0].__setitem__(2, 5.0), True),
+        (lambda r: r["trajectory"]["steps"].append(["start", "pick0", 0.0]),
+         False),
     ], ids=["token", "length", "key", "hidden-key", "reward", "steps"])
     def test_record_not_of_the_game_names_its_line(self, lewis3,
                                                    lewis_community, tmp_path,
-                                                   edit):
+                                                   edit, parses):
         path = self.saved(lewis_community, tmp_path, edit)
-        load(path)  # without a game, a load only parses
+        if parses:
+            load(path)
+        else:
+            with pytest.raises(DatasetParseError, match="line 3"):
+                load(path)
         with pytest.raises(DatasetParseError, match="line 3"):
             load(path, game=lewis3)
 
@@ -219,3 +267,33 @@ class TestLoadAgainstGame:
         for rec in loaded.records:
             for tau in (rec.trajectory, rec.hidden_target):
                 assert tau is table.trajs[table.key_index[tau.canonical_key]]
+
+
+class TestSave:
+    def test_lines_are_dumps_of_each_record(self, lewis_community, tmp_path):
+        """Texts shared across records give each line json.dumps' bytes."""
+        from dataclasses import replace
+
+        from cooplang.data import _dumps, _traj_to_json
+
+        path = tmp_path / "d.jsonl"
+        save(collect(lewis_community, 40, master_seed=3), path)
+        records = load(path).records  # a trajectory object per record
+        records[1] = replace(records[1], hidden_target=None,
+                             speaker_id="spéaker \"0\"")
+        records[2] = replace(records[2], episode_seed=2**70)
+        records[3] = replace(records[3], trajectory=records[0].trajectory,
+                             hidden_target=records[0].trajectory)
+        dataset = InteractionDataset("f", records, {"k": [1, 2.5]})
+        save(dataset, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == len(records) + 2
+        for rec, line in zip(records, lines[1:]):
+            assert line == _dumps({
+                "message": list(rec.message.tokens),
+                "trajectory": _traj_to_json(rec.trajectory),
+                "hidden_target": _traj_to_json(rec.hidden_target),
+                "episode_seed": rec.episode_seed,
+                "speaker_id": rec.speaker_id,
+                "listener_id": rec.listener_id,
+            })

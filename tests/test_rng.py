@@ -1,9 +1,10 @@
-"""Vectorized episode seeding: bit for bit numpy's default_rng streams.
+"""Vectorized episode streams: bit for bit numpy's default_rng streams.
 
-`cooplang.rng` runs numpy's SeedSequence hash for every episode at once.
-These tests hold it to `np.random.default_rng([*prefix, i, *suffix])`
-state by state and draw by draw, and check that the episode loops build a
-fixed number of bit generators however many episodes they run.
+`cooplang.rng` runs numpy's SeedSequence hash for every episode at once,
+and `PCG64Array` runs PCG64 and its draws on every stream at once. These
+tests hold both to `np.random.default_rng([*prefix, i, *suffix])` state by
+state and draw by draw, and check that the episode loops build a fixed
+number of bit generators however many episodes they run.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from cooplang import (
     lewis_game,
 )
 from cooplang.errors import ConfigError
-from cooplang.rng import check_seed, pcg64_states, streams
+from cooplang.rng import PCG64Array, check_seed, pcg64_states, streams
 
 # 2**64 + 1 has three 32-bit words: with the index and a suffix, the
 # entropy outgrows SeedSequence's pool of four and takes its extra loop
@@ -123,3 +124,98 @@ def test_bit_generators_per_run_do_not_grow_with_episodes(
         runs[step](n)
         counts.append(len(bit_generators))
     assert counts[0] == counts[1] <= 2
+
+
+# 2**31 + 1 rejects a first 32-bit draw about half the time; 2**32 is the
+# largest bound numpy draws from 32 bits
+BOUNDS = [1, 2, 3, 5, 20, 2**31 + 1, 2**32]
+
+
+def assert_same_states(streams_, refs):
+    for i, ref in enumerate(refs):
+        state = ref.bit_generator.state
+        assert (int(streams_.hi[i]) << 64 | int(streams_.lo[i])
+                == state["state"]["state"]), i
+        assert (int(streams_.inc_hi[i]) << 64 | int(streams_.inc_lo[i])
+                == state["state"]["inc"]), i
+        assert bool(streams_.has_uint32[i]) == state["has_uint32"], i
+        if state["has_uint32"]:
+            assert int(streams_.uinteger[i]) == state["uinteger"], i
+
+
+@pytest.mark.parametrize("suffix", [(), (1,)], ids=["episode", "arm"])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+def test_array_draws_match_default_rng(seed, suffix):
+    n = 500
+    kernel = PCG64Array((seed,), n, suffix)
+    refs = [np.random.default_rng([seed, i, *suffix]) for i in range(n)]
+    assert_same_states(kernel, refs)
+    picker = np.random.default_rng(99)
+    # interleaved calls, each on a random subset of the streams
+    for call in range(60):
+        mask = picker.random(n) < [1.0, 0.5, 0.05][call % 3]
+        chosen = np.flatnonzero(mask).tolist()
+        k = BOUNDS[call % len(BOUNDS)]
+        if call % 4 == 0:
+            got = kernel.random(mask)
+            want = [refs[i].random() for i in chosen]
+        else:
+            got = kernel.integers(k, mask)
+            want = [int(refs[i].integers(k)) for i in chosen]
+        assert got.tolist() == want, (call, k)
+    assert_same_states(kernel, refs)
+
+
+def test_unmasked_draws_cover_every_stream():
+    kernel = PCG64Array((3,), 50)
+    refs = [np.random.default_rng([3, i]) for i in range(50)]
+    assert kernel.random().tolist() == [r.random() for r in refs]
+    assert kernel.integers(20).tolist() == [int(r.integers(20)) for r in refs]
+    assert_same_states(kernel, refs)
+
+
+def test_a_wide_bound_redraws_about_half_the_streams():
+    n = 2000
+    kernel = PCG64Array((5,), n)
+    got = kernel.integers(2**31 + 1)
+    refs = [np.random.default_rng([5, i]) for i in range(n)]
+    assert got.tolist() == [int(r.integers(2**31 + 1)) for r in refs]
+    assert_same_states(kernel, refs)
+    # Lemire rejects a first draw u when (u * k) mod 2**32 < 2**32 mod k
+    k = 2**31 + 1
+    first = [int(np.random.default_rng([5, i]).integers(2**32))
+             for i in range(n)]
+    rejected = np.mean([u * k % 2**32 < 2**32 % k for u in first])
+    assert 0.45 < rejected < 0.55
+
+
+def test_a_bound_of_one_draws_nothing():
+    kernel = PCG64Array((5,), 10)
+    before = kernel.copy()
+    assert kernel.integers(1).tolist() == [0] * 10
+    assert kernel.lo.tolist() == before.lo.tolist()
+    assert kernel.hi.tolist() == before.hi.tolist()
+    assert not kernel.has_uint32.any()
+
+
+def test_copy_draws_apart():
+    kernel = PCG64Array((5,), 10, (1,))
+    twin = kernel.copy()
+    first = kernel.random()
+    assert twin.random().tolist() == first.tolist()
+    assert kernel.random().tolist() != first.tolist()
+
+
+def test_empty_mask_draws_nothing():
+    kernel = PCG64Array((5,), 10)
+    none = np.zeros(10, bool)
+    assert kernel.random(none).tolist() == []
+    assert kernel.integers(7, none).tolist() == []
+    assert_same_states(kernel, [np.random.default_rng([5, i])
+                                for i in range(10)])
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32 + 1])
+def test_bound_outside_32_bits_is_rejected(k):
+    with pytest.raises(ValueError, match="k must"):
+        PCG64Array((1,), 3).integers(k)
