@@ -32,7 +32,7 @@ def main():
 
     print()
     print("speaker message distribution per target:")
-    for tau in com.trajectories():
+    for tau in com.game.table.trajs:
         msgs, probs = speaker_message_dist(speaker, game, tau)
         shown = ", ".join(f"{m.canonical() or '(null)'}:{p:.3f}"
                           for m, p in zip(msgs, probs))

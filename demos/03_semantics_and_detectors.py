@@ -30,7 +30,7 @@ def main():
     cfg = DistanceConfig()
 
     print("optimal message per target:")
-    for tau in com.trajectories():
+    for tau in com.game.table.trajs:
         m = optimal_message(listener, game, tau)
         print(f"  {tau.canonical_key:10s} -> {m.canonical()!r}")
 

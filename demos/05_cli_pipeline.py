@@ -3,7 +3,8 @@
 Writes an experiment config, then runs gen-community, collect, fit-broca,
 fit-wernicke, eval-speaker, eval-listener, detect, and oracle-check in
 order, printing each one-line summary. The --canonical flag keeps every
-artifact byte-reproducible.
+artifact byte-reproducible. A failing command stops the pipeline, and the
+demo exits with that command's exit code.
 """
 
 import json
@@ -39,13 +40,14 @@ def main():
             print(f"  {proc.stdout.strip()}")
             if proc.returncode != 0:
                 print(f"  exit code {proc.returncode}: {proc.stderr.strip()}")
-                return
+                return proc.returncode
 
         print()
         print("artifacts written:")
         for path in sorted(out.iterdir()):
             print(f"  {path.name} ({path.stat().st_size} bytes)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,7 +10,6 @@ from .community import (
     SpeakerPolicy,
     build_community,
     enumerate_messages,
-    listener_traj_dist,
     load_community,
     rollout,
     save_community,
@@ -43,7 +42,6 @@ from .inference import (
     WernickeModel,
     boltzmann_message_likelihood,
     broca_emit,
-    exact_listener_model,
     fit_broca,
     fit_wernicke,
     map_target,
@@ -52,7 +50,6 @@ from .inference import (
 from .semantics import (
     DetectorReport,
     DistanceConfig,
-    distribution_distance,
     message_distance,
     optimal_message,
     positive_listening_test,

@@ -35,7 +35,6 @@ from .inference import (
     BrocaModel,
     MapConfig,
     WernickeModel,
-    exact_listener_model,
     fit_broca,
     fit_wernicke,
     map_target,
@@ -47,6 +46,7 @@ from .semantics import (
     positive_signalling_test,
     trajectory_distance,
 )
+from .tables import listener_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,7 +164,7 @@ def cmd_fit_wernicke(cfg: ExperimentConfig, args) -> str:
     listener_model = None
     if map_cfg.variant == "expected":
         community = build_community(cfg.community, cfg.run["seed"])
-        listener_model = exact_listener_model(community.listeners[0], cfg.game)
+        listener_model = listener_table(community.listeners[0], cfg.game)
     model = fit_wernicke(dataset, cfg.game, map_cfg,
                          backoff=cfg.inference["backoff"],
                          listener_model=listener_model)

@@ -157,19 +157,6 @@ def rollout(game: GameSpec, listener: ListenerPolicy, message: Message,
     return table.trajs[i]
 
 
-def listener_traj_dist(
-    listener: ListenerPolicy, game: GameSpec, message: Message,
-) -> dict[Trajectory, float]:
-    """Exact trajectory distribution of the listener's noised plan execution.
-
-    The enumerated trajectory set is prefix-free, so per-step action
-    probabilities multiply out to a distribution summing to 1.
-    """
-    validate_message(game, message)
-    table = listener_table(listener, game)
-    return dict(zip(table.game.trajs, table.P[table.row(message)].tolist()))
-
-
 @dataclass
 class CommunityConfig:
     """Knobs for building a synthetic community around one game."""
@@ -202,27 +189,18 @@ class Community:
     listeners: list[ListenerPolicy]
     seed: int
     config: CommunityConfig
-    _prior: np.ndarray = field(init=False, repr=False)
+    # Boltzmann prior over `game.table.trajs`, exp(V / temp_target)
+    prior: np.ndarray = field(init=False, repr=False)
     _prior_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._prior = _boltzmann(self.game.table.values,
-                                 self.config.temp_target)
-        self._prior_cdf = _cdf(self._prior)
+        self.prior = _boltzmann(self.game.table.values,
+                                self.config.temp_target)
+        self._prior_cdf = _cdf(self.prior)
 
     @property
     def codebook(self) -> Mapping[str, tuple[str, ...]]:
         return self.listeners[0].codebook
-
-    def trajectories(self) -> list[Trajectory]:
-        return self.game.table.trajs
-
-    def trajectory_values(self) -> np.ndarray:
-        return self.game.table.values
-
-    def prior_probs(self) -> np.ndarray:
-        """Boltzmann prior over enumerated trajectories, exp(V / temp_target)."""
-        return self._prior
 
 
 def build_community(config: CommunityConfig, seed: int) -> Community:
@@ -274,11 +252,10 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
 def target_prior_sample(community: Community,
                         rng: np.random.Generator) -> Trajectory:
     """Sample an intended trajectory from the Boltzmann prior over returns."""
-    trajs = community.trajectories()
+    table = community.game.table
     if community.config.greedy_target:
-        values = community.trajectory_values()
-        return trajs[int(np.argmax(values))]
-    return trajs[_draw(community._prior_cdf, rng)]
+        return table.trajs[int(np.argmax(table.values))]
+    return table.trajs[_draw(community._prior_cdf, rng)]
 
 
 def _boltzmann(scores: np.ndarray, temp: float) -> np.ndarray:
@@ -353,8 +330,7 @@ def speaker_sample(speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
 def _sample_targets(community: Community, rng) -> np.ndarray:
     """target_prior_sample per stream, as trajectory ids."""
     if community.config.greedy_target:
-        values = community.trajectory_values()
-        return np.full(len(rng), int(np.argmax(values)))
+        return np.full(len(rng), int(np.argmax(community.game.table.values)))
     return community._prior_cdf.searchsorted(rng.random(), side="right")
 
 

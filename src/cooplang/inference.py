@@ -48,19 +48,14 @@ def boltzmann_message_likelihood(
 ) -> float:
     """exp(-S(m*, m)) normalized over all messages of length 1..L."""
     table = listener_table(listener, game)
-    msgs = table.game.messages[1:]
-    canon = message.canonical()
-    index = next((i for i, m in enumerate(msgs) if m.canonical() == canon), None)
-    if index is None:
-        raise ConfigError(f"message {canon!r} not in the emission space")
+    # index 0 is the null message, which is not emitted
+    index = table.game.message_ids.get(message.canonical(), 0)
+    if index == 0:
+        raise ConfigError(
+            f"message {message.canonical()!r} not in the emission space")
     mstar = table.row(table.optimal_message(target))
     weights = np.exp(-table.distances(mstar, table.message_rows[1:], cfg))
-    return float(weights[index] / weights.sum())
-
-
-def exact_listener_model(listener: ListenerPolicy, game: GameSpec):
-    """The exact pi_B(.|m) for variant=expected: the listener's table."""
-    return listener_table(listener, game)
+    return float(weights[index - 1] / weights.sum())
 
 
 def map_target(record, game: GameSpec, cfg: MapConfig,
@@ -303,13 +298,11 @@ def wernicke_decode(model: WernickeModel, message: Message) -> Trajectory:
     canon = message.canonical()
     hist = model.table.get(canon)
     if hist is None and model.table:
-        known = sorted(model.table, key=_msg_sort_key)
-        nearest = min(
-            known,
-            key=lambda m: (message_distance(message, Message.from_canonical(m)),
-                           _msg_sort_key(m)),
-        )
-        if message_distance(message, Message.from_canonical(nearest)) <= model.backoff:
+        # _msg_sort_key differs between messages, so min never compares m
+        dist, _, nearest = min(
+            (message_distance(message, Message.from_canonical(m)),
+             _msg_sort_key(m), m) for m in model.table)
+        if dist <= model.backoff:
             hist = model.table[nearest]
     if hist is None:
         # beyond the backoff threshold: global argmax-return pseudo-label

@@ -4,12 +4,12 @@ Episode i of a run draws from `np.random.default_rng([*prefix, i, *suffix])`.
 Building that generator costs 12-22 us, most of it numpy's SeedSequence
 hash (O'Neill's seed_seq_fe, 2014), while an episode's draws cost a few
 us. The hash is fixed 32-bit arithmetic, so `_seed_words` runs it over
-columns of entropy words, one row per episode. `pcg64_states` turns each
-row into the state dict of that default_rng; `PCG64Array` keeps the rows
-as arrays and runs PCG64 itself on them: the 128-bit LCG step and the
-XSL-RR output (O'Neill, 2014), `random()` from the top 53 bits, and
-`integers(k)` by Lemire's multiply-shift rejection method (2019) on
-numpy's buffered 32-bit draws. Every draw is bit for bit numpy's.
+columns of entropy words, one row per episode. `PCG64Array` seeds PCG64
+from those rows, keeps the states as arrays and runs PCG64 itself on
+them: the 128-bit LCG step and the XSL-RR output (O'Neill, 2014),
+`random()` from the top 53 bits, and `integers(k)` by Lemire's
+multiply-shift rejection method (2019) on numpy's buffered 32-bit draws.
+Every state and draw is bit for bit numpy's.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .schema import RUN, check
 
 _POOL = 4  # SeedSequence's pool size, in uint32 words
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -89,38 +88,6 @@ def _seed_words(prefix, n: int, suffix=()) -> np.ndarray:
         state = [out(pool[k % _POOL]).astype(np.uint64) for k in range(8)]
     return np.stack([state[k] | state[k + 1] << np.uint64(32)
                      for k in range(0, 8, 2)], axis=1)
-
-
-def pcg64_states(prefix, n: int, suffix=()):
-    """For i in range(n), the PCG64 state of default_rng([*prefix, i, *suffix]).
-
-    Each state dict is built as it is drawn, so only the n x 4 seed words
-    are held.
-    """
-    words = _seed_words(prefix, n, suffix)
-    return (_seeded(*row) for row in map(np.ndarray.tolist, words))
-
-
-def _seeded(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> dict:
-    """PCG64 seeding: state 0, inc = 2*seq + 1, step, add the seed, step."""
-    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def streams(prefix, n: int, suffix=()):
-    """For i in range(n), a Generator in the state of
-    default_rng([*prefix, i, *suffix]).
-
-    Each step reloads and yields the same Generator (about 3 us), so
-    finish drawing from it before taking the next.
-    """
-    states = pcg64_states(prefix, n, suffix)
-    rng = np.random.Generator(np.random.PCG64())
-    for state in states:
-        rng.bit_generator.state = state
-        yield rng
 
 
 _LOW = np.uint64(_M32)

@@ -99,28 +99,6 @@ def _check_support_cap(atoms: int, cfg: DistanceConfig) -> None:
         )
 
 
-def distribution_distance(
-    p: dict[Trajectory, float], q: dict[Trajectory, float], cfg: DistanceConfig,
-) -> float:
-    """Lift the trajectory metric to distributions on a shared finite support."""
-    if set(t.canonical_key for t in p) != set(t.canonical_key for t in q):
-        raise SupportMismatchError("distributions have different supports")
-    _check_normalized(p.values(), "p")
-    _check_normalized(q.values(), "q")
-
-    support = sorted(p, key=lambda t: t.canonical_key)
-    pv = np.array([p[t] for t in support])
-    qv = np.array([q[t] for t in support])
-
-    def cost(p_idx, q_idx):
-        return np.array([
-            [trajectory_distance(support[i], support[j]) for j in q_idx]
-            for i in p_idx
-        ])
-
-    return _lift(pv, qv, cost, cfg)
-
-
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call.
 

@@ -10,8 +10,8 @@ action-id matrix, a matrix P with one row per distinct behaviour of its
 plans (the default plan included), a message -> plan map, the optimal
 message per target and, per lift, the plan x plan semantic matrix S, built
 whole on first read by `semantics._lift`; under Wasserstein-1 the block
-between point-mass rows is read from D instead. Entries have the dict API's
-bits.
+between point-mass rows is read from D instead. Entries have the bits of
+the dict-based brute force.
 
 Tables hang off the objects that own their inputs: a game builds its
 GameTable on first use (`GameSpec.table`), and a listener keeps its

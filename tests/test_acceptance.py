@@ -26,6 +26,7 @@ from cooplang import (
 from cooplang.community import speaker_message_dist
 from cooplang.data import InteractionRecord
 from cooplang.errors import DatasetParseError, FingerprintMismatchError
+from cooplang.tables import listener_table
 
 
 # --- independent oracle helpers (no library internals) ----------------------
@@ -85,7 +86,7 @@ def test_criterion_1_map_oracle_equivalence(games):
         com = cl.build_community(
             CommunityConfig(game=game, epsilon=0.2, codebook_k=8), 0)
         listener = com.listeners[0]
-        model = cl.exact_listener_model(listener, game)
+        model = listener_table(listener, game)
         for _ in range(25):
             observed = trajs[int(rng.integers(len(trajs)))]
             message = msgs[int(rng.integers(len(msgs)))]
@@ -147,7 +148,7 @@ def test_criterion_3_boltzmann_normalization(games):
         listener = com.listeners[0]
         speaker = com.speakers[0]
         msgs = cl.enumerate_messages(game)
-        for target in com.trajectories():
+        for target in com.game.table.trajs:
             _, probs = speaker_message_dist(speaker, game, target)
             assert abs(probs.sum() - 1.0) < 1e-9
             total = sum(

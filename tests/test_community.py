@@ -12,7 +12,6 @@ from cooplang import (
     enumerate_messages,
     enumerate_trajectories,
     lewis_game,
-    listener_traj_dist,
     load_community,
     make_trajectory,
     rollout,
@@ -22,6 +21,14 @@ from cooplang import (
 )
 from cooplang.community import SpeakerPolicy, speaker_message_dist
 from cooplang.errors import ConfigError, VocabularyTooSmallError
+from cooplang.tables import listener_table
+from reference import behaviour, distribution_distance
+
+
+def behaviour_row(listener, game, message):
+    """The listener table's behaviour row for a message."""
+    table = listener_table(listener, game)
+    return table.P[table.row(message)]
 
 
 class TestBuildCommunity:
@@ -56,9 +63,10 @@ class TestBuildCommunity:
         com = build_community(cfg, 0)
         assert len(com.codebook) == 10
         plans = set(com.codebook.values())
-        best = min(com.trajectories(),
-                   key=lambda t: (-com.trajectory_values()[
-                       com.trajectories().index(t)], t.canonical_key))
+        table = sm_2x2.table
+        best = min(table.trajs,
+                   key=lambda t: (-table.values[table.trajs.index(t)],
+                                  t.canonical_key))
         assert best.actions in plans
 
     def test_json_round_trip_matches_build(self, tmp_path, lewis_community):
@@ -76,14 +84,14 @@ class TestTargetPrior:
                           pick_reward=math.log(2.0))
         com = build_community(CommunityConfig(game=game), 0)
         probs = {t.canonical_key: p
-                 for t, p in zip(com.trajectories(), com.prior_probs())}
+                 for t, p in zip(com.game.table.trajs, com.prior)}
         assert probs["start::pick0"] == pytest.approx(2 / 3, abs=1e-12)
         assert probs["start::pick1"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_equal_values_give_uniform(self):
         game = lewis_game(n_candidates=3, pick_reward=0.0)
         com = build_community(CommunityConfig(game=game), 0)
-        assert np.allclose(com.prior_probs(), 1 / 3)
+        assert np.allclose(com.prior, 1 / 3)
 
     def test_greedy_target_is_argmax(self, lewis3):
         com = build_community(CommunityConfig(game=lewis3, greedy_target=True), 0)
@@ -95,10 +103,10 @@ class TestTargetPrior:
         com = build_community(CommunityConfig(game=lewis3), 0)
         rng = np.random.default_rng(123)
         n = 5000
-        counts = {t.canonical_key: 0 for t in com.trajectories()}
+        counts = {t.canonical_key: 0 for t in com.game.table.trajs}
         for _ in range(n):
             counts[target_prior_sample(com, rng).canonical_key] += 1
-        for t, p in zip(com.trajectories(), com.prior_probs()):
+        for t, p in zip(com.game.table.trajs, com.prior):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[t.canonical_key] - n * p) < 4 * sigma
 
@@ -150,41 +158,52 @@ class TestSpeaker:
 
 
 class TestListenerDist:
+    """Behaviour rows of the listener table, against the brute-force
+    `reference.behaviour`."""
+
     def test_point_mass_when_noiseless(self, lewis3, codebook_listener):
-        dist = listener_traj_dist(codebook_listener, lewis3, Message(("a",)))
-        probs = {t.canonical_key: p for t, p in dist.items()}
-        assert probs["start::pick0"] == 1.0
-        assert sum(probs.values()) == 1.0
+        a = Message(("a",))
+        row = behaviour_row(codebook_listener, lewis3, a)
+        assert row.tolist() == [1.0, 0.0, 0.0]
+        assert row.sum() == 1.0
+        assert row.tolist() == list(
+            behaviour(lewis3, codebook_listener, a).values())
 
     def test_epsilon_mixture(self, lewis3):
         listener = ListenerPolicy(codebook={"a": ("pick0",)}, epsilon=0.1)
-        dist = listener_traj_dist(listener, lewis3, Message(("a",)))
-        probs = {t.canonical_key: p for t, p in dist.items()}
-        assert probs["start::pick0"] == pytest.approx(0.9 + 0.1 / 3, abs=1e-12)
-        assert probs["start::pick1"] == pytest.approx(0.1 / 3, abs=1e-12)
+        a = Message(("a",))
+        row = behaviour_row(listener, lewis3, a)
+        assert row[0] == pytest.approx(0.9 + 0.1 / 3, abs=1e-12)
+        assert row[1] == pytest.approx(0.1 / 3, abs=1e-12)
+        assert row.tolist() == list(behaviour(lewis3, listener, a).values())
 
     def test_null_message_uses_default_plan(self, lewis3):
         listener = ListenerPolicy(codebook={"a": ("pick0",)},
                                   default_plan=("pick2",))
-        dist = listener_traj_dist(listener, lewis3, NULL_MESSAGE)
-        probs = {t.canonical_key: p for t, p in dist.items()}
-        assert probs["start::pick2"] == 1.0
+        row = behaviour_row(listener, lewis3, NULL_MESSAGE)
+        assert row.tolist() == [0.0, 0.0, 1.0]
+        assert row.tolist() == list(
+            behaviour(lewis3, listener, NULL_MESSAGE).values())
 
     def test_normalizes_with_early_termination(self):
-        game = lewis_game()
         from cooplang import supermarket_game
         game = supermarket_game(2, 2, {"milk": (0, 0)}, ["milk"], (0, 0), 2,
                                 tuple("abcd"))
         listener = ListenerPolicy(codebook={"a": ("pick",)}, epsilon=0.25)
-        dist = listener_traj_dist(listener, game, Message(("a",)))
-        assert abs(sum(dist.values()) - 1.0) < 1e-12
+        a = Message(("a",))
+        row = behaviour_row(listener, game, a)
+        assert abs(row.sum() - 1.0) < 1e-12
+        assert row.tolist() == list(behaviour(game, listener, a).values())
 
     def test_point_mass_for_every_known_message(self, lewis_community):
         game = lewis_community.game
+        listener = lewis_community.listeners[0]
         for canon in lewis_community.codebook:
-            dist = listener_traj_dist(lewis_community.listeners[0], game,
-                                      Message.from_canonical(canon))
-            assert max(dist.values()) == 1.0
+            message = Message.from_canonical(canon)
+            row = behaviour_row(listener, game, message)
+            assert row.max() == 1.0
+            assert row.tolist() == list(
+                behaviour(game, listener, message).values())
 
 
 class TestMessages:
@@ -204,10 +223,9 @@ class TestTables:
         import dataclasses
         listener = ListenerPolicy(codebook={"a": ("pick0",)}, epsilon=0.0)
         a = Message(("a",))
-        assert list(listener_traj_dist(listener, lewis3, a).values()) \
-            == [1.0, 0.0, 0.0]
+        assert behaviour_row(listener, lewis3, a).tolist() == [1.0, 0.0, 0.0]
         noisy = dataclasses.replace(listener, epsilon=0.3)
-        probs = list(listener_traj_dist(noisy, lewis3, a).values())
+        probs = behaviour_row(noisy, lewis3, a).tolist()
         assert probs == pytest.approx([0.8, 0.1, 0.1], abs=1e-12)
 
     def test_speaker_tables_are_keyed_by_game(self, codebook_listener):
@@ -221,8 +239,7 @@ class TestTables:
         assert len(probs) == 4
 
     def test_speaker_distribution_matches_brute_force(self, lewis3, sm_2x2):
-        from cooplang import (DistanceConfig, distribution_distance,
-                              optimal_message)
+        from cooplang import DistanceConfig, optimal_message
 
         lewis4 = lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"),
                             max_msg_len=2)
@@ -230,32 +247,20 @@ class TestTables:
             com = build_community(
                 CommunityConfig(game=game, epsilon=0.1, codebook_k=8), 0)
             listener, speaker = com.listeners[0], com.speakers[0]
-            n = len(game.env_actions)
-            pad = "pick" if game.kind == "supermarket" else game.env_actions[0]
-
-            def behaviour(plan):
-                out = {}
-                for t in com.trajectories():
-                    p = 1.0
-                    for k, a in enumerate(t.actions):
-                        planned = plan[k] if k < len(plan) else pad
-                        p *= 0.9 * (a == planned) + 0.1 / n
-                    out[t] = p
-                return out
-
             lifted = {}
 
-            def distance(p1, p2):
-                if (p1, p2) not in lifted:
-                    lifted[p1, p2] = distribution_distance(
-                        behaviour(p1), behaviour(p2), DistanceConfig())
-                return lifted[p1, p2]
+            def distance(m1, m2):
+                plans = listener.plan_for(m1), listener.plan_for(m2)
+                if plans not in lifted:
+                    lifted[plans] = distribution_distance(
+                        behaviour(game, listener, m1),
+                        behaviour(game, listener, m2), DistanceConfig())
+                return lifted[plans]
 
             msgs = enumerate_messages(game)
-            for target in com.trajectories()[::3]:
-                star = listener.plan_for(optimal_message(listener, game, target))
-                dists = np.array([distance(star, listener.plan_for(m))
-                                  for m in msgs])
+            for target in com.game.table.trajs[::3]:
+                star = optimal_message(listener, game, target)
+                dists = np.array([distance(star, m) for m in msgs])
                 w = np.exp(-dists - (-dists).max())
                 got_msgs, got = speaker_message_dist(speaker, game, target)
                 assert got_msgs == msgs
@@ -284,7 +289,7 @@ class TestTables:
                     else {"a": ("pick0",)})
         a, b = Message(("a",)), Message(("b",))
         for query in (
-                lambda lst: listener_traj_dist(lst, lewis3, a),
+                lambda lst: listener_table(lst, lewis3),
                 lambda lst: semantic_distance(lst, lewis3, a, b,
                                               DistanceConfig())):
             listener = ListenerPolicy(codebook=codebook, epsilon=epsilon,
@@ -298,23 +303,21 @@ class TestFrozenPolicies:
         import dataclasses
         listener = ListenerPolicy(codebook={"a": ("pick0",)}, epsilon=0.0)
         a = Message(("a",))
-        listener_traj_dist(listener, lewis3, a)
+        behaviour_row(listener, lewis3, a)
         with pytest.raises(dataclasses.FrozenInstanceError):
             listener.epsilon = 0.3
-        assert list(listener_traj_dist(listener, lewis3, a).values()) \
-            == [1.0, 0.0, 0.0]
+        assert behaviour_row(listener, lewis3, a).tolist() == [1.0, 0.0, 0.0]
 
     def test_listener_codebook_is_read_only(self, lewis3):
         codebook = {"a": ("pick0",)}
         listener = ListenerPolicy(codebook=codebook, epsilon=0.0)
         a = Message(("a",))
-        listener_traj_dist(listener, lewis3, a)
+        behaviour_row(listener, lewis3, a)
         with pytest.raises(TypeError):
             listener.codebook["a"] = ("pick1",)
         codebook["a"] = ("pick1",)  # the listener holds its own copy
         assert listener.plan_for(a) == ("pick0",)
-        assert list(listener_traj_dist(listener, lewis3, a).values()) \
-            == [1.0, 0.0, 0.0]
+        assert behaviour_row(listener, lewis3, a).tolist() == [1.0, 0.0, 0.0]
 
     def test_speaker_temperature_cannot_change_after_a_query(
             self, lewis3, codebook_listener):

@@ -53,8 +53,8 @@ class TestCollect:
         for rec in dataset.records:
             key = rec.hidden_target.canonical_key
             counts[key] = counts.get(key, 0) + 1
-        for tau, p in zip(lewis_community.trajectories(),
-                          lewis_community.prior_probs()):
+        for tau, p in zip(lewis_community.game.table.trajs,
+                          lewis_community.prior):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts.get(tau.canonical_key, 0) - n * p) <= 3 * sigma
 

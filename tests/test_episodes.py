@@ -2,9 +2,9 @@
 
 `collect`, `eval_speaker` and `eval_listener` draw every episode together
 on a `PCG64Array`. Each test here replays the same episodes one at a time
-through `streams`, `target_prior_sample`, `speaker_sample` and `rollout`,
-summing reports in episode order, and requires the same records and the
-same report bits.
+on fresh `default_rng` generators through `target_prior_sample`,
+`speaker_sample` and `rollout`, summing reports in episode order, and
+requires the same records and the same report bits.
 """
 
 import json
@@ -38,7 +38,6 @@ from cooplang import community as community_module
 from cooplang.data import InteractionRecord
 from cooplang.errors import InvalidActionError
 from cooplang.evaluation import ListenerReport, SpeakerReport
-from cooplang.rng import pcg64_states, streams
 
 GAMES = {
     # four actions and 20 messages
@@ -74,6 +73,11 @@ def run(request):
             fit_wernicke(dataset, game, MapConfig(alpha=1.0)))
 
 
+def streams(seed, n, suffix=()):
+    """Episode i's generator, default_rng([seed, i, *suffix]), for i < n."""
+    return (np.random.default_rng([seed, i, *suffix]) for i in range(n))
+
+
 def episode_draws(community, rng):
     """An episode's target, speaker, listener and message, as collect draws."""
     target = target_prior_sample(community, rng)
@@ -86,7 +90,7 @@ def episode_draws(community, rng):
 
 def loop_collect(community, n, seed):
     records = []
-    for i, rng in enumerate(streams((seed,), n)):
+    for i, rng in enumerate(streams(seed, n)):
         target, s, j, message = episode_draws(community, rng)
         tau = rollout(community.game, community.listeners[j], message, rng)
         records.append(InteractionRecord(message, tau, target, i,
@@ -99,9 +103,7 @@ def loop_eval_speaker(broca, community, n, seed):
     msgs = enumerate_messages(game)
     hits = {"model": 0, "oracle": 0, "random": 0}
     returns = dict.fromkeys(hits, 0.0)
-    arm_rng = np.random.Generator(np.random.PCG64())
-    for rng, arm_state in zip(streams((seed,), n),
-                              pcg64_states((seed,), n, (1,))):
+    for i, rng in enumerate(streams(seed, n)):
         target = target_prior_sample(community, rng)
         listener = community.listeners[int(rng.integers(
             len(community.listeners)))]
@@ -110,7 +112,8 @@ def loop_eval_speaker(broca, community, n, seed):
                                           target),
                 "random": msgs[int(rng.integers(len(msgs)))]}
         for arm, message in arms.items():
-            arm_rng.bit_generator.state = arm_state
+            # every arm rolls out from the same fresh arm stream
+            arm_rng = np.random.default_rng([seed, i, 1])
             tau = rollout(game, listener, message, arm_rng)
             hits[arm] += tau == target
             returns[arm] += table.values[table.key_index[tau.canonical_key]]
@@ -125,8 +128,7 @@ def loop_eval_listener(wernicke, community, n, seed):
     hits = {"model": 0, "literal": 0}
     dists = dict.fromkeys(hits, 0.0)
     values = dict.fromkeys(hits, 0.0)
-    for rng, rollout_rng in zip(streams((seed,), n),
-                                streams((seed,), n, (1,))):
+    for rng, rollout_rng in zip(streams(seed, n), streams(seed, n, (1,))):
         target, _, j, message = episode_draws(community, rng)
         observed = rollout(game, community.listeners[j], message, rollout_rng)
         t = table.key_index[target.canonical_key]

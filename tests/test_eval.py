@@ -70,7 +70,7 @@ class TestEvalSpeaker:
 
         monkeypatch.setattr(cooplang.evaluation, "broca_emit", counting)
         eval_speaker(broca, com, n=300, seed=5)
-        assert 0 < len(emitted) == len(set(emitted)) <= len(com.trajectories())
+        assert 0 < len(emitted) == len(set(emitted)) <= len(com.game.table.trajs)
 
 
     def test_report_matches_fresh_generator_reference(self, lewis_community):

@@ -18,13 +18,14 @@ from cooplang import (
     collect,
     enumerate_messages,
     enumerate_trajectories,
-    exact_listener_model,
     fit_broca,
     fit_wernicke,
     lewis_game,
     make_trajectory,
     map_target,
     message_distance,
+    optimal_message,
+    semantic_distance,
     trajectory_distance,
     trajectory_return,
     wernicke_decode,
@@ -38,6 +39,7 @@ from cooplang.errors import (
 )
 from cooplang.games import game_fingerprint
 from cooplang.inference import coarse_feature
+from cooplang.tables import listener_table
 
 
 def record(game, message_tokens, actions):
@@ -98,9 +100,50 @@ class TestBoltzmannLikelihood:
     def test_null_message_outside_emission_space(self, lewis3,
                                                  codebook_listener):
         tau0 = enumerate_trajectories(lewis3)[0]
-        with pytest.raises(ConfigError):
-            boltzmann_message_likelihood(codebook_listener, lewis3,
-                                         Message(()), tau0, DistanceConfig())
+        # the null message, a token not in vocab, a message longer than L
+        for tokens in [(), ("zz",), ("a", "a")]:
+            with pytest.raises(ConfigError):
+                boltzmann_message_likelihood(codebook_listener, lewis3,
+                                             Message(tokens), tau0,
+                                             DistanceConfig())
+
+    # sha256 of every likelihood, targets by messages, as float64 bytes
+    DIGESTS = {
+        ("lewis", "wasserstein1"):
+            "faafbf6379cd73bc0e6e160c2e9982c7a602dc05dffaa8a319dd4bbb8f2fc476",
+        ("lewis", "total_variation"):
+            "faafbf6379cd73bc0e6e160c2e9982c7a602dc05dffaa8a319dd4bbb8f2fc476",
+        ("sm2x2", "wasserstein1"):
+            "8eeb3e507858728a1721244be7d5175575ad906b6e0a3356ce4bd379920f2c7c",
+        ("sm2x2", "total_variation"):
+            "0f2a620d0e37d70824376e64fdfffa98834149f3f72f97e98aa4a70431f89fff",
+    }
+
+    @pytest.mark.parametrize("lift", ["wasserstein1", "total_variation"])
+    @pytest.mark.parametrize("name", ["lewis", "sm2x2"])
+    def test_likelihoods_keep_their_bits(self, name, lift, lewis3, sm_2x2,
+                                         codebook_listener):
+        import hashlib
+
+        if name == "lewis":
+            game, listener = lewis3, codebook_listener
+        else:
+            game = sm_2x2
+            listener = build_community(CommunityConfig(
+                game=game, epsilon=0.1, codebook_k=8), 0).listeners[0]
+        cfg = DistanceConfig(dist_lift=lift)
+        msgs = enumerate_messages(game)
+        got = []
+        for tau in enumerate_trajectories(game):
+            star = optimal_message(listener, game, tau)
+            w = np.exp(-np.array([semantic_distance(listener, game, star, m,
+                                                    cfg) for m in msgs]))
+            row = [boltzmann_message_likelihood(listener, game, m, tau, cfg)
+                   for m in msgs]
+            assert row == (w / w.sum()).tolist()
+            got += row
+        assert hashlib.sha256(np.array(got).tobytes()).hexdigest() \
+            == self.DIGESTS[name, lift]
 
 
 class TestMapTarget:
@@ -113,6 +156,19 @@ class TestMapTarget:
         rec = record(lewis3, ("b",), ["pick1"])
         cfg = MapConfig(alpha=alpha, variant="literal")
         assert map_target(rec, lewis3, cfg).canonical_key == expected
+
+    def test_lewis_alpha_one_ties_every_label_to_pick0(self):
+        """lewis_game() has returns (1, 0, 0), and distinct trajectories lie
+        1 apart, so at alpha 1 the observed trajectory ties with pick0 and
+        the tie goes to the higher return; any larger alpha breaks it."""
+        game = lewis_game()
+        trajs = enumerate_trajectories(game)
+        for alpha, want in ((1.0, ["start::pick0"] * 3),
+                            (1.01, [t.canonical_key for t in trajs])):
+            got = [map_target(record(game, ("a",), list(t.actions)), game,
+                              MapConfig(alpha=alpha)).canonical_key
+                   for t in trajs]
+            assert got == want
 
     def test_matches_brute_force_on_random_cases(self, sm_2x2):
         lewis4 = lewis_game(n_candidates=4, vocab=("a", "b", "c", "d"))
@@ -161,7 +217,7 @@ class TestMapTarget:
 
     def test_variants_agree_for_noiseless_listeners(self, lewis3,
                                                     codebook_listener):
-        model = exact_listener_model(codebook_listener, lewis3)
+        model = listener_table(codebook_listener, lewis3)
         for alpha in (0.5, 1.0, 2.0):
             for canon, plan in codebook_listener.codebook.items():
                 rec = record(lewis3, canon.split(), list(plan))
@@ -178,11 +234,11 @@ class TestMapTarget:
         from cooplang.errors import DomainMismatchError
         cfg = MapConfig(alpha=1.0, variant="expected")
         other = lewis_game(n_candidates=4)
-        model = exact_listener_model(codebook_listener, other)
+        model = listener_table(codebook_listener, other)
         with pytest.raises(DomainMismatchError):
             map_target(record(lewis3, ("a",), ["pick0"]), lewis3, cfg,
                        listener_model=model)
-        model = exact_listener_model(codebook_listener, lewis3)
+        model = listener_table(codebook_listener, lewis3)
         with pytest.raises(ConfigError, match="not in vocab"):
             map_target(record(lewis3, ("zz",), ["pick0"]), lewis3, cfg,
                        listener_model=model)
@@ -200,7 +256,7 @@ class TestFitBroca:
             loss += message_distance(rec.message, emitted)
         assert loss == 0.0
         inverse = {tuple(plan): m for m, plan in com.codebook.items()}
-        for tau in com.trajectories():
+        for tau in com.game.table.trajs:
             assert broca_emit(model, tau).canonical() == inverse[tau.actions]
 
     def test_majority_message_wins(self, lewis3):
@@ -321,7 +377,7 @@ def test_fits_do_not_copy_records(lewis_community, monkeypatch):
     game = lewis_community.game
     assert fit_broca(dataset, game).table
     for variant in ("literal", "expected"):
-        model = exact_listener_model(lewis_community.listeners[0], game)
+        model = listener_table(lewis_community.listeners[0], game)
         assert fit_wernicke(dataset, game, MapConfig(variant=variant),
                             listener_model=model).table
 
@@ -335,7 +391,7 @@ class TestModelSerialization:
         back = BrocaModel.from_json_dict(doc, com.game)
         assert back.table == model.table
         assert back.backoff_table == model.backoff_table
-        for tau in com.trajectories():
+        for tau in com.game.table.trajs:
             assert broca_emit(back, tau) == broca_emit(model, tau)
 
     def test_wernicke_round_trip(self, noiseless_lewis_community):

@@ -1,10 +1,10 @@
 """Vectorized episode streams: bit for bit numpy's default_rng streams.
 
-`cooplang.rng` runs numpy's SeedSequence hash for every episode at once,
-and `PCG64Array` runs PCG64 and its draws on every stream at once. These
-tests hold both to `np.random.default_rng([*prefix, i, *suffix])` state by
-state and draw by draw, and check that the episode loops build a fixed
-number of bit generators however many episodes they run.
+`PCG64Array` runs numpy's SeedSequence hash for every episode at once,
+then PCG64 and its draws on every stream at once. These tests hold it to
+`np.random.default_rng([*prefix, i, *suffix])` state by state and draw by
+draw, and check that the episode loops build a fixed number of bit
+generators however many episodes they run.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from cooplang import (
     lewis_game,
 )
 from cooplang.errors import ConfigError
-from cooplang.rng import PCG64Array, check_seed, pcg64_states, streams
+from cooplang.rng import PCG64Array, check_seed
 
 # 2**64 + 1 has three 32-bit words: with the index and a suffix, the
 # entropy outgrows SeedSequence's pool of four and takes its extra loop
@@ -33,52 +33,57 @@ N = 2001
 @pytest.mark.parametrize("suffix", [(), (1,)], ids=["episode", "arm"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_streams_match_default_rng(seed, suffix):
-    for i, rng in enumerate(streams((seed,), N, suffix)):
-        ref = np.random.default_rng([seed, i, *suffix])
-        assert rng.bit_generator.state == ref.bit_generator.state, i
-        assert (rng.integers(5, dtype=np.uint32, size=3).tolist()
-                == ref.integers(5, dtype=np.uint32, size=3).tolist()), i
-        assert rng.random() == ref.random(), i
-        assert rng.integers(1000) == ref.integers(1000), i
-        # leave a buffered uint32 behind: the next load must drop it
-        rng.integers(5, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == 1
-    assert i == N - 1
+    kernel = PCG64Array((seed,), N, suffix)
+    refs = [np.random.default_rng([seed, i, *suffix]) for i in range(N)]
+    assert_same_states(kernel, refs)
+    assert (np.stack([kernel.integers(5) for _ in range(3)], axis=1).tolist()
+            == [r.integers(5, dtype=np.uint32, size=3).tolist() for r in refs])
+    assert kernel.random().tolist() == [r.random() for r in refs]
+    assert kernel.integers(1000).tolist() == [int(r.integers(1000))
+                                              for r in refs]
+    # leave a buffered uint32 behind in every stream
+    kernel.integers(5)
+    for r in refs:
+        r.integers(5, dtype=np.uint32)
+    assert kernel.has_uint32.all()
+    assert_same_states(kernel, refs)
 
 
 def test_states_match_with_a_longer_prefix():
     prefix, suffix = (7, 2**40), (3, 0)
-    states = list(pcg64_states(prefix, 300, suffix))
-    assert len(states) == 300
-    for i, state in enumerate(states):
-        ref = np.random.default_rng([*prefix, i, *suffix])
-        assert state == ref.bit_generator.state
+    kernel = PCG64Array(prefix, 300, suffix)
+    assert len(kernel) == 300
+    assert_same_states(kernel, [np.random.default_rng([*prefix, i, *suffix])
+                                for i in range(300)])
 
 
 def test_no_episodes():
-    assert list(pcg64_states((1,), 0)) == []
+    kernel = PCG64Array((1,), 0)
+    assert len(kernel) == 0
+    assert kernel.random().tolist() == []
+    assert kernel.integers(7).tolist() == []
 
 
 @pytest.mark.parametrize("seed", [-1, -2**40, 1.0, 2.5, "3", None])
 def test_bad_seed_is_config_error(seed):
     with pytest.raises(ConfigError, match="seed"):
-        pcg64_states((seed,), 3)
+        PCG64Array((seed,), 3)
     with pytest.raises(ConfigError, match="seed"):
-        pcg64_states((1,), 3, (seed,))
+        PCG64Array((1,), 3, (seed,))
     with pytest.raises(ConfigError, match="seed"):
         check_seed(seed)
 
 
 def test_numpy_integer_seed_is_accepted():
     assert check_seed(np.int64(5)) == 5
-    assert (next(pcg64_states((np.uint8(5),), 1))
-            == np.random.default_rng([5, 0]).bit_generator.state)
+    assert_same_states(PCG64Array((np.uint8(5),), 1),
+                       [np.random.default_rng([5, 0])])
 
 
 @pytest.mark.parametrize("n", [-1, 2**32 + 1])
 def test_index_must_fit_one_word(n):
     with pytest.raises(ValueError, match="n must"):
-        pcg64_states((1,), n)
+        PCG64Array((1,), n)
 
 
 @pytest.fixture

@@ -8,10 +8,8 @@ from cooplang import (
     ListenerPolicy,
     Message,
     NULL_MESSAGE,
-    distribution_distance,
     enumerate_messages,
     enumerate_trajectories,
-    listener_traj_dist,
     message_distance,
     optimal_message,
     positive_listening_test,
@@ -25,6 +23,7 @@ from cooplang.errors import (
     SupportMismatchError,
     TooFewEpisodesError,
 )
+from reference import behaviour, distribution_distance
 
 
 def point_mass(trajs, index):
@@ -170,7 +169,7 @@ class TestOptimalMessage:
         com = build_community(CommunityConfig(game=sm_3x3), 7)
         listener = com.listeners[0]
         best = max(
-            com.trajectories(),
+            com.game.table.trajs,
             key=lambda t: (trajectory_return(t, sm_3x3.gamma),
                            [-ord(c) for c in t.canonical_key]),
         )
@@ -178,10 +177,7 @@ class TestOptimalMessage:
         # brute force over every message incl. null
         scores = {}
         for msg in enumerate_messages(sm_3x3, include_null=True):
-            dist = listener_traj_dist(listener, sm_3x3, msg)
-            scores[msg.canonical()] = next(
-                (p for t, p in dist.items()
-                 if t.canonical_key == best.canonical_key), 0.0)
+            scores[msg.canonical()] = behaviour(sm_3x3, listener, msg)[best]
         assert scores[got.canonical()] == max(scores.values())
         assert got.canonical() in com.codebook
         assert com.codebook[got.canonical()] == best.actions
@@ -310,21 +306,6 @@ def _edit(a, b):
     return prev[-1] / max(len(a), len(b), 1)
 
 
-def _behaviour(game, listener, message):
-    """The listener's exact trajectory distribution, by brute force."""
-    plan = listener.codebook.get(message.canonical(), listener.default_plan)
-    pad = "pick" if game.kind == "supermarket" else game.env_actions[0]
-    n = len(game.env_actions)
-    out = {}
-    for t in enumerate_trajectories(game):
-        p = 1.0
-        for k, a in enumerate(t.actions):
-            planned = plan[k] if k < len(plan) else pad
-            p *= (1.0 - listener.epsilon) * (a == planned) + listener.epsilon / n
-        out[t] = p
-    return out
-
-
 @pytest.fixture(params=["lewis", "sm_2x2", "sm_3x3-eps0"])
 def noisy_game(request, sm_2x2, sm_3x3):
     """A community per game; the noiseless 3x3 one has point-mass behaviours."""
@@ -388,7 +369,7 @@ class TestTables:
         com = build_community(
             CommunityConfig(game=sm_2x2, epsilon=0.1, codebook_k=8), 0)
         plans = {(), *com.codebook.values()}
-        for target in com.trajectories():
+        for target in com.game.table.trajs:
             speaker_message_dist(com.speakers[0], sm_2x2, target)
         assert 0 < len(solves) <= len(plans) * (len(plans) - 1) // 2
 
@@ -396,8 +377,8 @@ class TestTables:
         game, com = noisy_game
         listener = com.listeners[0]
         msgs = enumerate_messages(game, include_null=True)
-        behaviours = [_behaviour(game, listener, m) for m in msgs]
-        for target in com.trajectories():
+        behaviours = [behaviour(game, listener, m) for m in msgs]
+        for target in com.game.table.trajs:
             scores = [b[target] for b in behaviours]
             want = msgs[scores.index(max(scores))]
             assert optimal_message(listener, game, target) == want
@@ -432,8 +413,8 @@ class TestTables:
         for lift in ("wasserstein1", "total_variation"):
             cfg = DistanceConfig(dist_lift=lift)
             for m1, m2 in itertools.combinations(msgs, 2):
-                want = distribution_distance(_behaviour(game, listener, m1),
-                                             _behaviour(game, listener, m2),
+                want = distribution_distance(behaviour(game, listener, m1),
+                                             behaviour(game, listener, m2),
                                              cfg)
                 assert semantic_distance(listener, game, m1, m2, cfg) == want
 
