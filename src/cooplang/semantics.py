@@ -5,7 +5,9 @@ Message and trajectory distances are normalized token-level edit
 distances. Distribution distances lift the trajectory metric either by
 exact Wasserstein-1 transport on the finite support or by total
 variation. Semantic distance between two messages is the lifted distance
-between the listener behaviours they induce.
+between the listener behaviours they induce. Each transport LP goes
+straight to the HiGHS binding that `scipy.optimize.linprog` wraps (see
+`linprog`): the same optimum to the bit, at about a third of the cost.
 """
 
 from __future__ import annotations
@@ -99,15 +101,77 @@ def _check_support_cap(atoms: int, cfg: DistanceConfig) -> None:
         )
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call.
+# scipy's default `tol` for linprog, as its `_check_result` loosens it
+FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 
-    scipy serves only the Wasserstein-1 transport LP, and importing it
-    takes about 0.6 s, so a run that solves no LP never pays for it.
+
+@functools.cache
+def _highs_options():
+    """The options scipy's `linprog(method="highs")` passes to HiGHS."""
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = (
+        highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    return options
+
+
+def linprog(c, A_eq, b_eq) -> float:
+    """The minimum of c @ x subject to A_eq @ x = b_eq and x >= 0.
+
+    The LP goes straight to the HiGHS binding that scipy's
+    `linprog(method="highs")` wraps, with the same model and options, so
+    the optimum keeps scipy's bits at about a third of the cost: scipy's
+    input cleaning, option checks, dual bookkeeping and result object are
+    skipped. scipy is imported on the first call, since importing it takes
+    about 0.6 s and a run that solves no LP never pays for it. A status
+    other than optimal, or a solution that scipy's feasibility check
+    would reject, raises `DistributionError`.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
-    return linprog(*args, **kwargs)
+    a = A_eq.tocsc()
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(a.shape[1])
+    lp.col_upper_ = np.full(a.shape[1], highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    solver = highs._Highs()
+    solver.passOptions(_highs_options())
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise DistributionError(
+            "transport LP failed: HiGHS rejected the model")
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise DistributionError(
+            f"transport LP failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    fun = solver.getInfo().objective_function_value
+    _check_feasible(np.array(solution.col_value), fun,
+                    b_eq - np.array(solution.row_value))
+    return fun
+
+
+def _check_feasible(x, fun, residual) -> None:
+    """scipy's post-solve check of an optimal transport solution: no NaN,
+    x >= 0 and b_eq - A_eq @ x = 0, each within FEASIBILITY_TOL."""
+    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
+            or (x < -FEASIBILITY_TOL).any()
+            or (np.abs(residual) > FEASIBILITY_TOL).any()):
+        raise DistributionError(
+            "transport LP failed: the solution does not satisfy the "
+            f"constraints within {FEASIBILITY_TOL:.2E}")
 
 
 @functools.cache
@@ -142,10 +206,7 @@ def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
 
     a_eq = _transport_constraints(*cost.shape)
     b_eq = np.concatenate([pv[p_idx], qv[q_idx]])[:-1]
-    res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, method="highs")
-    if not res.success:
-        raise DistributionError(f"transport LP failed: {res.message}")
-    return max(float(res.fun), 0.0)
+    return max(linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq), 0.0)
 
 
 def optimal_message(

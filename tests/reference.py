@@ -2,7 +2,8 @@
 
 Each one computes its value the dict way, one trajectory at a time, from
 the game's enumeration and the trajectory metric, apart from the tables
-in `cooplang.tables`.
+in `cooplang.tables`. `linprog_fun` is scipy's own LP wrapper, the
+reference for the direct HiGHS call in `cooplang.semantics.linprog`.
 """
 
 import numpy as np
@@ -49,3 +50,13 @@ def distribution_distance(p, q, cfg):
         ])
 
     return _lift(pv, qv, cost, cfg)
+
+
+def linprog_fun(c, A_eq, b_eq):
+    """The optimum of min c @ x, A_eq @ x = b_eq, x >= 0, as
+    `scipy.optimize.linprog(method="highs")` reports it."""
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq, method="highs")
+    assert res.success, res.message
+    return res.fun
