@@ -21,13 +21,13 @@ from .errors import (
     ConfigError,
     EnumerationCapError,
     InvalidActionError,
+    SupportMismatchError,
     VocabularyTooSmallError,
 )
 from .games import (
     DEFAULT_ENUMERATION_CAP,
     GameSpec,
     Trajectory,
-    game_fingerprint,
     step,  # not called here; perfbench tests patch this binding
 )
 from .schema import COMMUNITY, check, values_of
@@ -122,14 +122,12 @@ class ListenerPolicy:
 
 @dataclass(frozen=True, eq=False)
 class SpeakerPolicy:
-    """Boltzmann message emitter calibrated to a reference listener."""
+    """Boltzmann message emitter calibrated to a reference listener; its
+    distances are the emission slice of that listener's table."""
 
     listener_ref: ListenerPolicy
     temp_msg: float = 1.0
     greedy_msg: bool = False
-    # (game fingerprint, target key) -> (messages, distances, message CDF)
-    _dist_cache: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         check("community", COMMUNITY, {"temp_msg": self.temp_msg,
@@ -284,19 +282,18 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
 def _speaker_table(
     speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
 ) -> tuple[list[Message], np.ndarray, np.ndarray]:
-    """Semantic distances S(m*(target), m) over the emission space (length 1..L)
-    and the CDF of the speaker's message distribution over it."""
+    """S(m*(target), m) over the emission space (length 1..L), always under the
+    default DistanceConfig, and the CDF of the speaker's message distribution."""
     from .semantics import DistanceConfig  # deferred: semantics imports this module
 
-    fp = game_fingerprint(game)
-    cached = speaker._dist_cache.get((fp, target.canonical_key))
-    if cached is None:
-        table = listener_table(speaker.listener_ref, game)
-        mstar = table.row(table.optimal_message(target))
-        dists = table.distances(mstar, table.message_rows[1:], DistanceConfig())
-        cached = speaker._dist_cache[fp, target.canonical_key] = (
-            table.game.messages[1:], dists, _cdf(_boltzmann(-dists, speaker.temp_msg)))
-    return cached
+    table = listener_table(speaker.listener_ref, game)
+    try:
+        dists = table.emission_distances(target, DistanceConfig())
+    except SupportMismatchError as exc:  # not the config's to fix
+        raise SupportMismatchError(
+            f"{str(exc).partition(';')[0]}, and the speakers' lift (wasserstein1) and "
+            "cap are fixed: the distances settings configure the detectors") from None
+    return table.game.messages[1:], dists, _cdf(_boltzmann(-dists, speaker.temp_msg))
 
 
 def speaker_message_dist(

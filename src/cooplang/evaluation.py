@@ -23,7 +23,7 @@ from .community import (
 from .inference import BrocaModel, WernickeModel, broca_emit, wernicke_decode
 from .rng import PCG64Array
 from .schema import RUN, check
-from .semantics import optimal_message
+from .tables import listener_table
 
 
 @dataclass
@@ -100,21 +100,18 @@ def eval_speaker(broca: BrocaModel, community: Community, n: int,
     listeners = rng.integers(len(community.listeners))
     random_msgs = 1 + rng.integers(len(table.messages) - 1)
 
-    # each distinct target's model and oracle messages, in episode order
+    # each distinct target's model message, in episode order
     distinct, first, where = np.unique(targets, return_index=True,
                                        return_inverse=True)
-    model, oracle = np.empty((2, len(distinct)), np.int64)
+    model = np.empty(len(distinct), np.int64)
     for g in np.argsort(first).tolist():
-        target = table.trajs[distinct[g]]
-        message = broca_emit(broca, target)
+        message = broca_emit(broca, table.trajs[distinct[g]])
         validate_message(game, message)
         model[g] = table.message_ids[message.canonical()]
-        oracle[g] = table.message_ids[optimal_message(
-            community.listeners[0], game, target).canonical()]
 
     arm_rng = PCG64Array((seed,), n, (1,))
-    arms = {"model": model[where], "oracle": oracle[where],
-            "random": random_msgs}
+    oracle = listener_table(community.listeners[0], game).mstar[targets]
+    arms = {"model": model[where], "oracle": oracle, "random": random_msgs}
     metrics = {}
     for arm, messages in arms.items():
         taus = _rollouts(community, listeners, messages, arm_rng.copy())

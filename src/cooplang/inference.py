@@ -53,8 +53,7 @@ def boltzmann_message_likelihood(
     if index == 0:
         raise ConfigError(
             f"message {message.canonical()!r} not in the emission space")
-    mstar = table.row(table.optimal_message(target))
-    weights = np.exp(-table.distances(mstar, table.message_rows[1:], cfg))
+    weights = np.exp(-table.emission_distances(target, cfg))
     return float(weights[index - 1] / weights.sum())
 
 
@@ -305,12 +304,9 @@ def wernicke_decode(model: WernickeModel, message: Message) -> Trajectory:
         if dist <= model.backoff:
             hist = model.table[nearest]
     if hist is None:
-        # beyond the backoff threshold: global argmax-return pseudo-label
-        merged: dict[str, int] = {}
-        for h in model.table.values():
-            for key, count in h.items():
-                merged[key] = merged.get(key, 0) + count
-        key = min(merged, key=lambda k: (-model.value_of(k), k))
+        # beyond the backoff threshold: the highest-return label, counts aside
+        labels = {key for h in model.table.values() for key in h}
+        key = min(labels, key=lambda k: (-model.value_of(k), k))
     else:
         key = _argmax_label(model, hist)
     table = model.game.table

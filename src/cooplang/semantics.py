@@ -189,8 +189,10 @@ def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
     """The transport core: lift the ground metric to two probability vectors.
 
     cost_of(p_idx, q_idx) returns the ground-metric submatrix between two
-    index sets of the shared support.
+    index sets of the shared support. A negative entry is rejected.
     """
+    if min(pv.min(), qv.min()) < 0:
+        raise DistributionError("probabilities must be non-negative")
     if cfg.dist_lift == "total_variation":
         return 0.5 * float(np.abs(pv - qv).sum())
     if np.array_equal(pv, qv):

@@ -8,14 +8,14 @@ prefix trie of the trajectories that `walk` rolls out many episodes down
 at once. A ListenerTable adds one listener's behaviour: a plan x step
 action-id matrix, a matrix P with one row per distinct behaviour of its
 plans (the default plan included), a message -> plan map, the optimal
-message per target and, per lift, the plan x plan semantic matrix S, built
-whole on first read by `semantics._lift`; under Wasserstein-1 the block
-between point-mass rows is read from D instead. Entries have the bits of
-the dict-based brute force.
+message per target (`mstar`) and, per lift, the plan x plan semantic matrix
+S, built whole on first read by `semantics._lift`; under Wasserstein-1 the
+block between point-mass rows is read from D instead. Entries have the bits
+of the dict-based brute force.
 
-Tables hang off the objects that own their inputs: a game builds its
-GameTable on first use (`GameSpec.table`), and a listener keeps its
-ListenerTables in `_dist_cache`, keyed by game fingerprint.
+Tables hang off the objects that own their inputs: `GameSpec.table` builds
+a game's on first use, and a listener keeps its ListenerTables, which its
+speakers read, in `_dist_cache`, keyed by game fingerprint.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ class ListenerTable:
         plan_id = {plan: p for p, plan in enumerate(plans)}
         self.plan_of = {canon: plan_id[plan]
                         for canon, plan in listener.codebook.items()}
-        self._mstar: dict[int, object] = {}
         self._S: dict[str, np.ndarray] = {}
 
     def row(self, message) -> int:
@@ -175,16 +174,24 @@ class ListenerTable:
     def message_rows(self) -> np.ndarray:
         return self.plan_rows[self.message_plans]
 
+    @cached_property
+    def mstar(self) -> np.ndarray:
+        """Per trajectory, the index in `messages` of the first message
+        maximizing P(trajectory | message), from the rows messages reach."""
+        rows, first = np.unique(self.message_rows, return_index=True)
+        P = self.P[rows]
+        return np.where(P == P.max(0), first[:, None],
+                        len(self.game.messages)).min(0)
+
     def optimal_message(self, target: Trajectory):
-        """First message in enumeration order maximizing P(target | message)."""
+        """`mstar`'s message, or the null one for an unenumerated target."""
         t = self.game.key_index.get(target.canonical_key)
-        if t is None:  # P(target | m) = 0 for every m
-            return self.game.messages[0]
-        m = self._mstar.get(t)
-        if m is None:
-            m = self._mstar[t] = self.game.messages[
-                int(np.argmax(self.P[self.message_rows, t]))]
-        return m
+        return self.game.messages[0 if t is None else int(self.mstar[t])]
+
+    def emission_distances(self, target: Trajectory, cfg) -> np.ndarray:
+        """S(m*(target), m) for every m of the emission space `messages[1:]`."""
+        return self.distances(self.row(self.optimal_message(target)),
+                              self.message_rows[1:], cfg)
 
     def distances(self, a: int, rows, cfg) -> np.ndarray:
         """S[a, rows]: lifted distances from behaviour row a to rows.

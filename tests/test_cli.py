@@ -256,6 +256,27 @@ class TestErrorHandling:
         assert run("fit-broca", "--config", config_path) == EXIT_MODULE
         one_line_error(capsys, "error: line 2")
 
+    def test_speaker_cap_error_says_the_speakers_lift_is_fixed(
+            self, config_path, capsys):
+        # no 4-step episode collects both items: 5**4 trajectories, each
+        # in the support of every noisy behaviour
+        game = supermarket_game(
+            width=3, height=3, items={"milk": (0, 1), "bread": (2, 2)},
+            shopping_list=["milk", "bread"], start=(0, 0), horizon=4,
+            vocab=tuple("abc")).to_json_dict()
+        edit_config(config_path, lambda doc: doc.update(
+            game=game, community={"epsilon": 0.1, "codebook_k": 8},
+            distances={"dist_lift": "total_variation",
+                       "wasserstein_support_cap": 100000}))
+        assert run("collect", "--config", config_path, "--n", "30") \
+            == EXIT_MODULE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert "625 atoms" in err and "cap (512)" in err
+        assert "speakers' lift (wasserstein1) and cap are fixed" in err
+        assert "the distances settings configure the detectors" in err
+        assert "use the total_variation lift" not in err
+
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("collect", "--help")

@@ -356,6 +356,17 @@ class TestFitWernicke:
         assert wernicke_decode(model, Message(("c",))).canonical_key \
             == "start::pick1"
 
+    def test_beyond_backoff_return_outranks_counts(self, lewis3):
+        # pick1 (return 0) is counted three times, pick0 (return 1) once
+        recs = [record(lewis3, ("b",), ["pick1"])] * 3 + [
+            record(lewis3, ("a",), ["pick0"])]
+        model = fit_wernicke(dataset_of(lewis3, recs), lewis3,
+                             MapConfig(alpha=1000.0), backoff=0.0)
+        assert model.table == {"b": {"start::pick1": 3},
+                               "a": {"start::pick0": 1}}
+        assert wernicke_decode(model, Message(("c",))).canonical_key \
+            == "start::pick0"
+
     def test_ignores_hidden_targets(self, lewis_community):
         dataset = collect(lewis_community, 100, master_seed=1)
         cfg = MapConfig(alpha=2.0)

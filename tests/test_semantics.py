@@ -120,6 +120,21 @@ class TestDistributionDistance:
         with pytest.raises(DistributionError):
             distribution_distance(bad, bad, DistanceConfig())
 
+    @pytest.mark.parametrize("lift", ["wasserstein1", "total_variation"])
+    def test_negative_mass_rejected(self, lewis3, lift):
+        from cooplang.semantics import _lift
+
+        cfg = DistanceConfig(dist_lift=lift)
+        pv, qv = np.array([0.5, 0.5]), np.array([-0.5, 1.5])
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for p, q in ((pv, qv), (qv, pv)):
+            with pytest.raises(DistributionError, match="non-negative"):
+                _lift(p, q, lambda i, j: cost[np.ix_(i, j)], cfg)
+        trajs = enumerate_trajectories(lewis3)
+        with pytest.raises(DistributionError, match="non-negative"):
+            distribution_distance(dict(zip(trajs, [0.5, 0.5, 0.0])),
+                                  dict(zip(trajs, [-0.5, 1.5, 0.0])), cfg)
+
     def test_support_cap_error_names_total_variation(self, lewis3):
         trajs = enumerate_trajectories(lewis3)
         cfg = DistanceConfig(wasserstein_support_cap=2)
@@ -163,6 +178,64 @@ class TestOptimalMessage:
         blind = ListenerPolicy(codebook={}, epsilon=0.0)
         trajs = enumerate_trajectories(lewis3)
         assert optimal_message(blind, lewis3, trajs[0]).is_null()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0])
+    def test_mstar_is_the_first_argmax_per_target(self, sm_2x2, sm_3x3,
+                                                  epsilon):
+        from cooplang import CommunityConfig, build_community, lewis_game
+        from cooplang.tables import listener_table
+
+        games = (lewis_game(max_msg_len=2),
+                 lewis_game(n_candidates=4, vocab=tuple("abcd"),
+                            max_msg_len=2), sm_2x2, sm_3x3)
+        for game, k, seed in itertools.product(games, (1, 3, 8, 64),
+                                               range(3)):
+            com = build_community(CommunityConfig(
+                game=game, epsilon=epsilon, codebook_k=k), seed)
+            # "zz" is no message of the game; where no message has its plan
+            # (trajectory 1's), its row must not win a target
+            foreign = ListenerPolicy(
+                codebook={**com.codebook, "zz": game.table.trajs[1].actions},
+                epsilon=epsilon)
+            for listener in (com.listeners[0], foreign):
+                table = listener_table(listener, game)
+                P = table.P[table.message_rows]  # M x T, as a reference may
+                want = [int(np.argmax(P[:, t])) for t in range(P.shape[1])]
+                assert table.mstar.tolist() == want
+                if epsilon == 1.0:  # every row ties: the null message wins
+                    assert not table.mstar.any()
+
+    def test_mstar_makes_no_message_by_trajectory_array(self):
+        import tracemalloc
+        from cooplang import CommunityConfig, build_community, supermarket_game
+        from cooplang.tables import listener_table
+
+        vocab = tuple(f"w{i}" for i in range(60))
+        game = supermarket_game(3, 3, {"milk": (0, 1), "bread": (2, 2)},
+                                ["milk", "bread"], (0, 0), 3, vocab)
+        com = build_community(CommunityConfig(game=game, epsilon=0.1), 0)
+        table = listener_table(com.listeners[0], game)
+        table.message_rows  # one entry per message, built beforehand
+        M, T = len(table.game.messages), len(table.game.trajs)
+        tracemalloc.start()
+        try:
+            table.mstar
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M * T  # bytes: less than a boolean M x T array
+
+    def test_emission_slice_of_an_unenumerated_target(self, lewis3,
+                                                      codebook_listener):
+        from cooplang import lewis_game
+        from cooplang.tables import listener_table
+
+        table = listener_table(codebook_listener, lewis3)
+        stranger = enumerate_trajectories(lewis_game(n_candidates=4))[3]
+        assert stranger.canonical_key not in table.game.key_index
+        assert table.emission_distances(stranger, DistanceConfig()).tolist() \
+            == table.distances(table.row(NULL_MESSAGE),
+                               table.message_rows[1:], DistanceConfig()).tolist()
 
     def test_supermarket_brute_force(self, sm_3x3):
         from cooplang import CommunityConfig, build_community, trajectory_return
