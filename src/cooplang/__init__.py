@@ -5,11 +5,8 @@ from .community import (
     Community,
     CommunityConfig,
     ListenerPolicy,
-    Message,
-    NULL_MESSAGE,
     SpeakerPolicy,
     build_community,
-    enumerate_messages,
     load_community,
     rollout,
     save_community,
@@ -25,9 +22,12 @@ from .evaluation import (
     report_csv,
 )
 from .games import (
+    NULL_MESSAGE,
     GameSpec,
+    Message,
     StepOutcome,
     Trajectory,
+    enumerate_messages,
     enumerate_trajectories,
     game_fingerprint,
     lewis_game,

@@ -21,16 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .community import (
-    NULL_MESSAGE,
-    CommunityConfig,
-    build_community,
-    enumerate_messages,
-    save_community,
-)
+from .community import CommunityConfig, build_community, save_community
 from .errors import ConfigError, CoopLangError
 from .evaluation import eval_listener, eval_speaker, report_csv
-from .games import GameSpec, enumerate_trajectories, trajectory_return
+from .games import (NULL_MESSAGE, GameSpec, enumerate_trajectories,
+                    trajectory_return)
 from .inference import (
     BrocaModel,
     MapConfig,
@@ -184,7 +179,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> str:
     signalling = positive_signalling_test(episodes, cfg.distances)
     listening = positive_listening_test(
         community.listeners[0], cfg.game, [()],
-        enumerate_messages(cfg.game), cfg.distances,
+        cfg.game.table.messages[1:], cfg.distances,
     )
     path = _write_json(out / ARTIFACTS["report_json"], {
         "positive_signalling": asdict(signalling),

@@ -9,7 +9,6 @@ optimal message for their intended trajectory.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -19,65 +18,17 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    EnumerationCapError,
     InvalidActionError,
     SupportMismatchError,
     VocabularyTooSmallError,
 )
-from .games import (
-    DEFAULT_ENUMERATION_CAP,
-    GameSpec,
-    Trajectory,
-    step,  # not called here; perfbench tests patch this binding
-)
-from .schema import COMMUNITY, check, values_of
+from .games import (  # step is not called here; perfbench tests patch it
+    GameSpec, Message, Trajectory, enumerate_messages, step, validate_message)
+from .rng import check_seed
+from .schema import (COMMUNITY, INDEX, INTEGER, LIST, OBJECT, Rule, check,
+                     values_of)
+from .semantics import DistanceConfig, emission_distances
 from .tables import listener_table
-
-
-@dataclass(frozen=True)
-class Message:
-    """A bounded token sequence; the empty sequence is the null message."""
-
-    tokens: tuple[str, ...]
-
-    def canonical(self) -> str:
-        return " ".join(self.tokens)
-
-    def is_null(self) -> bool:
-        return not self.tokens
-
-    @classmethod
-    def from_canonical(cls, text: str) -> "Message":
-        return cls(tuple(text.split())) if text else NULL_MESSAGE
-
-
-NULL_MESSAGE = Message(())
-
-
-def validate_message(game: GameSpec, message: Message) -> None:
-    if len(message.tokens) > game.max_msg_len:
-        raise ConfigError(
-            f"message length {len(message.tokens)} exceeds L={game.max_msg_len}"
-        )
-    bad = [t for t in message.tokens if t not in game.vocab]
-    if bad:
-        raise ConfigError(f"tokens {bad} not in vocab")
-
-
-def enumerate_messages(game: GameSpec,
-                       include_null: bool = False) -> list[Message]:
-    """All messages of length 1..L in (length, lexicographic) order."""
-    toks = sorted(game.vocab)
-    total = 0
-    for n in range(1, game.max_msg_len + 1):
-        total += len(toks) ** n
-        if total > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(total, DEFAULT_ENUMERATION_CAP,
-                                      what="messages")
-    msgs: list[Message] = [NULL_MESSAGE] if include_null else []
-    for length in range(1, game.max_msg_len + 1):
-        msgs.extend(Message(combo) for combo in itertools.product(toks, repeat=length))
-    return msgs
 
 
 def pad_action(game: GameSpec) -> str:
@@ -113,11 +64,6 @@ class ListenerPolicy:
 
     def planned_action(self, game: GameSpec, plan: tuple[str, ...], k: int) -> str:
         return plan[k] if k < len(plan) else pad_action(game)
-
-    def step_action_prob(self, game: GameSpec, plan, k: int, action: str) -> float:
-        planned = self.planned_action(game, plan, k)
-        n = len(game.env_actions)
-        return (1.0 - self.epsilon) * (action == planned) + self.epsilon / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +123,8 @@ class CommunityConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CommunityConfig":
-        return cls(**{**doc, "game": GameSpec.from_json_dict(doc["game"])})
+        check("config", {**COMMUNITY, "game": Rule(OBJECT)}, doc)
+        return cls(**{**doc, "game": GameSpec.from_json_dict(doc.get("game"))})
 
 
 @dataclass(eq=False)
@@ -207,6 +154,7 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
     A covering set of trajectories (all for lewis, top-K by return for the
     supermarket) gets distinct messages assigned by a seeded permutation.
     """
+    seed = check_seed(seed)
     game = config.game
     table = game.table
     trajs = table.trajs
@@ -284,11 +232,9 @@ def _speaker_table(
 ) -> tuple[list[Message], np.ndarray, np.ndarray]:
     """S(m*(target), m) over the emission space (length 1..L), always under the
     default DistanceConfig, and the CDF of the speaker's message distribution."""
-    from .semantics import DistanceConfig  # deferred: semantics imports this module
-
     table = listener_table(speaker.listener_ref, game)
     try:
-        dists = table.emission_distances(target, DistanceConfig())
+        dists = emission_distances(table, target, DistanceConfig())
     except SupportMismatchError as exc:  # not the config's to fix
         raise SupportMismatchError(
             f"{str(exc).partition(';')[0]}, and the speakers' lift (wasserstein1) and "
@@ -368,6 +314,15 @@ def _rollouts(community: Community, listener_ids: np.ndarray,
 
 
 COMMUNITY_FORMAT_VERSION = 1
+# the keys of a saved community: the config and seed rebuild it
+COMMUNITY_FILE = {
+    "format_version": Rule(INTEGER, lambda v: v == COMMUNITY_FORMAT_VERSION,
+                           str(COMMUNITY_FORMAT_VERSION)),
+    "seed": INDEX,
+    "config": Rule(OBJECT),
+    "codebook": Rule(OBJECT, lambda v: all(map(LIST[0], v.values())),
+                     "messages mapped to action lists"),
+}
 
 
 def save_community(community: Community, path) -> None:
@@ -383,11 +338,16 @@ def save_community(community: Community, path) -> None:
 
 
 def load_community(path) -> Community:
-    """Rebuild from (config, seed); the stored codebook is an integrity check."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != COMMUNITY_FORMAT_VERSION:
-        raise ConfigError(f"unsupported community format {doc.get('format_version')}")
+    """Rebuild from (config, seed); the stored codebook is an integrity check.
+
+    A file that is not JSON, or not a community document, is a ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, not UTF-8
+        raise ConfigError(f"cannot read JSON from {path}: {exc}") from None
+    check("community file", COMMUNITY_FILE, doc, required=True)
     config = CommunityConfig.from_dict(doc["config"])
     community = build_community(config, doc["seed"])
     stored = {m: tuple(plan) for m, plan in doc["codebook"].items()}

@@ -10,20 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .community import (
-    Community,
-    Message,
-    _rollouts,
-    _sample_messages,
-    _sample_targets,
-    validate_message,
-)
+from .community import Community, _rollouts, _sample_messages, _sample_targets
 from .errors import (
     ConfigError,
     DatasetParseError,
     FingerprintMismatchError,
 )
-from .games import GameSpec, Trajectory, game_fingerprint
+from .games import (GameSpec, Message, Trajectory, game_fingerprint,
+                    validate_message)
 from .rng import PCG64Array
 from .schema import RUN, check
 

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import (
-    Community,
-    _rollouts,
-    _sample_messages,
-    _sample_targets,
-    validate_message,
-)
+from .community import Community, _rollouts, _sample_messages, _sample_targets
+from .games import validate_message
 from .inference import BrocaModel, WernickeModel, broca_emit, wernicke_decode
 from .rng import PCG64Array
 from .schema import RUN, check

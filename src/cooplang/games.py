@@ -1,4 +1,5 @@
-"""Referential-game environments: Lewis signalling and a gridworld supermarket.
+"""Referential-game environments: Lewis signalling and a gridworld supermarket,
+and the message space that a game's vocab and message length L span.
 
 Both games are deterministic finite-horizon environments with a single
 acting listener. The speaker only communicates; its message is delivered
@@ -10,6 +11,7 @@ action-id sequence.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -142,6 +144,52 @@ def _thaw(value):
 def game_fingerprint(game: GameSpec) -> str:
     """Stable digest of a game's canonical JSON form, computed at construction."""
     return game.fingerprint
+
+
+@dataclass(frozen=True)
+class Message:
+    """A bounded token sequence; the empty sequence is the null message."""
+
+    tokens: tuple[str, ...]
+
+    def canonical(self) -> str:
+        return " ".join(self.tokens)
+
+    def is_null(self) -> bool:
+        return not self.tokens
+
+    @classmethod
+    def from_canonical(cls, text: str) -> "Message":
+        return cls(tuple(text.split())) if text else NULL_MESSAGE
+
+
+NULL_MESSAGE = Message(())
+
+
+def validate_message(game: GameSpec, message: Message) -> None:
+    if len(message.tokens) > game.max_msg_len:
+        raise ConfigError(
+            f"message length {len(message.tokens)} exceeds L={game.max_msg_len}"
+        )
+    bad = [t for t in message.tokens if t not in game.vocab]
+    if bad:
+        raise ConfigError(f"tokens {bad} not in vocab")
+
+
+def enumerate_messages(game: GameSpec,
+                       include_null: bool = False) -> list[Message]:
+    """All messages of length 1..L in (length, lexicographic) order."""
+    toks = sorted(game.vocab)
+    total = 0
+    for n in range(1, game.max_msg_len + 1):
+        total += len(toks) ** n
+        if total > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(total, DEFAULT_ENUMERATION_CAP,
+                                      what="messages")
+    msgs: list[Message] = [NULL_MESSAGE] if include_null else []
+    for length in range(1, game.max_msg_len + 1):
+        msgs.extend(Message(combo) for combo in itertools.product(toks, repeat=length))
+    return msgs
 
 
 def lewis_game(

@@ -15,16 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import ListenerPolicy, Message, validate_message
+from .community import ListenerPolicy
 from .errors import (
     ConfigError,
     EmptyDatasetError,
     FingerprintMismatchError,
     ForeignGameRecordError,
 )
-from .games import GameSpec, Trajectory, final_state, game_fingerprint
+from .games import (GameSpec, Message, Trajectory, final_state,
+                    game_fingerprint, validate_message)
 from .schema import INFERENCE, check
-from .semantics import DistanceConfig, message_distance
+from .semantics import DistanceConfig, emission_distances, message_distance
 from .tables import GameTable, listener_table
 
 MODEL_FORMAT_VERSION = 1
@@ -53,7 +54,7 @@ def boltzmann_message_likelihood(
     if index == 0:
         raise ConfigError(
             f"message {message.canonical()!r} not in the emission space")
-    weights = np.exp(-table.emission_distances(target, cfg))
+    weights = np.exp(-emission_distances(table, target, cfg))
     return float(weights[index - 1] / weights.sum())
 
 

@@ -5,7 +5,8 @@ Message and trajectory distances are normalized token-level edit
 distances. Distribution distances lift the trajectory metric either by
 exact Wasserstein-1 transport on the finite support or by total
 variation. Semantic distance between two messages is the lifted distance
-between the listener behaviours they induce. Each transport LP goes
+between the listener behaviours they induce, read from the semantic
+matrix S over a listener table's rows (`distances`). Each transport LP goes
 straight to the HiGHS binding that `scipy.optimize.linprog` wraps (see
 `linprog`): the same optimum to the bit, at about a third of the cost.
 """
@@ -13,16 +14,11 @@ straight to the HiGHS binding that `scipy.optimize.linprog` wraps (see
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .community import (
-    ListenerPolicy,
-    Message,
-    NULL_MESSAGE,
-    validate_message,
-)
 from .errors import (
     ConfigError,
     DistributionError,
@@ -30,9 +26,11 @@ from .errors import (
     SupportMismatchError,
     TooFewEpisodesError,
 )
-from .games import GameSpec, Trajectory
+from .games import (NULL_MESSAGE, GameSpec, Message, Trajectory,
+                    validate_message)
+from .rng import check_seed
 from .schema import DISTANCES, check, values_of
-from .tables import listener_table
+from .tables import ListenerTable, listener_table
 
 DEFAULT_WASSERSTEIN_SUPPORT_CAP = 512
 # elements of the largest temporary array a batch of shuffles makes
@@ -134,7 +132,7 @@ def linprog(c, A_eq, b_eq) -> float:
     """
     from scipy.optimize._highspy import _core as highs
 
-    a = A_eq.tocsc()
+    a = A_eq.tocsc()  # the matrix itself when it is CSC already
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
     lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
@@ -177,12 +175,14 @@ def _check_feasible(x, fun, residual) -> None:
 @functools.cache
 def _transport_constraints(n: int, m: int):
     """The equality constraints of the n x m transport LP, built once per
-    shape: rows ship p mass, columns receive q mass."""
+    shape, in the CSC form HiGHS takes: rows ship p mass, columns receive
+    q mass."""
     import scipy.sparse as sp
 
     row = sp.kron(sp.eye(n), np.ones((1, m)))
     col = sp.kron(np.ones((1, n)), sp.eye(m))
-    return sp.vstack([row, col]).tocsr()[:-1]  # drop one redundant constraint
+    # drop one redundant constraint
+    return sp.vstack([row, col]).tocsr()[:-1].tocsc()
 
 
 def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
@@ -211,9 +211,44 @@ def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
     return max(linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq), 0.0)
 
 
-def optimal_message(
-    listener: ListenerPolicy, game: GameSpec, target: Trajectory,
-) -> Message:
+def distances(table: ListenerTable, a: int, rows, cfg) -> np.ndarray:
+    """S[a, rows]: lifted distances from behaviour row a of a listener
+    table to rows, a row or an array of rows; the table keeps S per lift.
+
+    The support cap is checked on every call, on the rows read; S holds
+    only values.
+    """
+    if cfg.dist_lift == "wasserstein1" and np.any(rows != a):
+        _check_support_cap(max(table.nnz[a], table.nnz[rows].max()), cfg)
+    S = table.S.get(cfg.dist_lift)
+    if S is None:
+        for p in table.P:
+            _check_normalized(p.tolist(), "p")
+        # values do not depend on the cap, which the check above applied
+        whole = replace(cfg, wasserstein_support_cap=len(table.game.trajs))
+        S = np.zeros((len(table.P),) * 2)
+        pairs = itertools.combinations(range(len(table.P)), 2)
+        if cfg.dist_lift == "wasserstein1":
+            # W1 between point masses is the distance of their atoms
+            point = np.flatnonzero(table.nnz == 1)
+            atoms = table.P[point].argmax(axis=1)
+            S[np.ix_(point, point)] = table.game.cost(atoms, atoms)
+            pairs = [(b, c) for b, c in pairs
+                     if table.nnz[b] > 1 or table.nnz[c] > 1]
+        for b, c in pairs:
+            S[b, c] = S[c, b] = _lift(table.P[b], table.P[c],
+                                      table.game.cost, whole)
+        table.S[cfg.dist_lift] = S  # whole, or not at all
+    return S[a, rows]
+
+
+def emission_distances(table: ListenerTable, target, cfg) -> np.ndarray:
+    """S(m*(target), m) for every m of the emission space `messages[1:]`."""
+    return distances(table, table.row(table.optimal_message(target)),
+                     table.message_rows[1:], cfg)
+
+
+def optimal_message(listener, game: GameSpec, target: Trajectory) -> Message:
     """The message maximizing the listener's probability of the target.
 
     Candidates include the null message; ties go to the shortest message
@@ -223,8 +258,7 @@ def optimal_message(
 
 
 def semantic_distance(
-    listener: ListenerPolicy, game: GameSpec,
-    m1: Message, m2: Message, cfg: DistanceConfig,
+    listener, game: GameSpec, m1: Message, m2: Message, cfg: DistanceConfig,
 ) -> float:
     """Distance between the listener behaviours two messages induce."""
     if m1.canonical() == m2.canonical():
@@ -232,11 +266,11 @@ def semantic_distance(
     validate_message(game, m1)
     validate_message(game, m2)
     table = listener_table(listener, game)
-    return float(table.distances(table.row(m1), table.row(m2), cfg))
+    return float(distances(table, table.row(m1), table.row(m2), cfg))
 
 
 def positive_listening_test(
-    listener: ListenerPolicy, game: GameSpec,
+    listener, game: GameSpec,
     contexts: list, messages: list[Message], cfg: DistanceConfig,
 ) -> DetectorReport:
     """Does any message move the listener away from null-message behaviour?
@@ -252,8 +286,8 @@ def positive_listening_test(
     for msg in messages:
         validate_message(game, msg)
     table = listener_table(listener, game)
-    d = table.distances(table.row(NULL_MESSAGE),
-                        np.array([table.row(m) for m in messages]), cfg)
+    d = distances(table, table.row(NULL_MESSAGE),
+                  np.array([table.row(m) for m in messages]), cfg)
     first = int(np.argmax(d))  # the first message at the largest distance
     return DetectorReport(detected=bool(d[first] > cfg.listening_epsilon),
                           statistic=float(d[first]),
@@ -309,7 +343,7 @@ def positive_signalling_test(
     base = (np.arange(batch) * cells)[:, None] + x * ny
     observed = clogc[np.bincount(base[0] + y, minlength=cells)].sum()
     tie = 1e-9 * observed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     exceed = 0
     for start in range(0, cfg.permutations, batch):
         b = min(batch, cfg.permutations - start)

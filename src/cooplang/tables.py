@@ -7,10 +7,10 @@ Wagner-Fischer pass over the action-id matrix, the game's messages, and a
 prefix trie of the trajectories that `walk` rolls out many episodes down
 at once. A ListenerTable adds one listener's behaviour: a plan x step
 action-id matrix, a matrix P with one row per distinct behaviour of its
-plans (the default plan included), a message -> plan map, the optimal
-message per target (`mstar`) and, per lift, the plan x plan semantic matrix
-S, built whole on first read by `semantics._lift`; under Wasserstein-1 the
-block between point-mass rows is read from D instead. Entries have the bits
+plans (the default plan included), a message -> plan map and the optimal
+message per target (`mstar`). It also keeps, per lift, the semantic
+matrix S over its behaviour rows as plain data, which
+`semantics.distances` builds whole on first read. Entries have the bits
 of the dict-based brute force.
 
 Tables hang off the objects that own their inputs: `GameSpec.table` builds
@@ -20,8 +20,6 @@ speakers read, in `_dist_cache`, keyed by game fingerprint.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +28,7 @@ from .errors import DomainMismatchError, InvalidActionError
 from .games import (
     GameSpec,
     Trajectory,
+    enumerate_messages,
     enumerate_trajectories,
     trajectory_return,
 )
@@ -60,7 +59,6 @@ class GameTable:
     @cached_property
     def messages(self) -> list:
         """Every message, the null message first, in enumeration order."""
-        from .community import enumerate_messages  # community imports this module
         return enumerate_messages(self.game, include_null=True)
 
     @cached_property
@@ -143,7 +141,7 @@ class GameTable:
 
 
 class ListenerTable:
-    """One listener's behaviour on one game, and its semantic matrices."""
+    """One listener's behaviour on one game."""
 
     def __init__(self, game: GameTable, listener):
         self.game = game
@@ -152,14 +150,15 @@ class ListenerTable:
             (listener.default_plan, *listener.codebook.values())))
         self.plan_actions = _plan_actions(game, plans, listener)
         # plans with equal behaviour share a row, so a != b means P[a] != P[b]
-        self.P, rows = np.unique(_plan_probs(game, plans, listener), axis=0,
-                                 return_inverse=True)
+        self.P, rows = np.unique(
+            _plan_probs(game, self.plan_actions, listener.epsilon), axis=0,
+            return_inverse=True)
         self.plan_rows = rows.ravel()
         self.nnz = (self.P > 0).sum(axis=1)
         plan_id = {plan: p for p, plan in enumerate(plans)}
         self.plan_of = {canon: plan_id[plan]
                         for canon, plan in listener.codebook.items()}
-        self._S: dict[str, np.ndarray] = {}
+        self.S: dict[str, np.ndarray] = {}  # lift -> S (semantics.distances)
 
     def row(self, message) -> int:
         return int(self.plan_rows[self.plan_of.get(message.canonical(), 0)])
@@ -188,42 +187,6 @@ class ListenerTable:
         t = self.game.key_index.get(target.canonical_key)
         return self.game.messages[0 if t is None else int(self.mstar[t])]
 
-    def emission_distances(self, target: Trajectory, cfg) -> np.ndarray:
-        """S(m*(target), m) for every m of the emission space `messages[1:]`."""
-        return self.distances(self.row(self.optimal_message(target)),
-                              self.message_rows[1:], cfg)
-
-    def distances(self, a: int, rows, cfg) -> np.ndarray:
-        """S[a, rows]: lifted distances from behaviour row a to rows.
-
-        rows is a row or an array of rows. The Wasserstein support cap is
-        checked on every call, on the rows read; S holds only values.
-        """
-        from . import semantics  # semantics imports this module
-        if cfg.dist_lift == "wasserstein1" and np.any(rows != a):
-            semantics._check_support_cap(
-                max(self.nnz[a], self.nnz[rows].max()), cfg)
-        S = self._S.get(cfg.dist_lift)
-        if S is None:
-            for p in self.P:
-                semantics._check_normalized(p.tolist(), "p")
-            # values do not depend on the cap, which the check above applied
-            whole = replace(cfg, wasserstein_support_cap=len(self.game.trajs))
-            S = np.zeros((len(self.P),) * 2)
-            pairs = itertools.combinations(range(len(self.P)), 2)
-            if cfg.dist_lift == "wasserstein1":
-                # W1 between point masses is the distance of their atoms
-                point = np.flatnonzero(self.nnz == 1)
-                atoms = self.P[point].argmax(axis=1)
-                S[np.ix_(point, point)] = self.game.cost(atoms, atoms)
-                pairs = [(b, c) for b, c in pairs
-                         if self.nnz[b] > 1 or self.nnz[c] > 1]
-            for b, c in pairs:
-                S[b, c] = S[c, b] = semantics._lift(
-                    self.P[b], self.P[c], self.game.cost, whole)
-            self._S[cfg.dist_lift] = S  # whole, or not at all
-        return S[a, rows]
-
 
 def _plan_actions(game: GameTable, plans, listener) -> np.ndarray:
     """A[p, k]: the id of the action plan p takes at step k, over the steps
@@ -239,20 +202,21 @@ def _plan_actions(game: GameTable, plans, listener) -> np.ndarray:
     return ids
 
 
-def _plan_probs(game: GameTable, plans, listener) -> np.ndarray:
-    """P[p, t]: the left-to-right product of listener.step_action_prob.
+def _plan_probs(game: GameTable, plan_actions: np.ndarray,
+                epsilon: float) -> np.ndarray:
+    """P[p, t]: the left-to-right product over steps k of the chance,
+    (1 - epsilon) * planned + epsilon / n, of trajectory t's k-th action.
 
-    The k-th factor is computed for every trajectory at once from column k
-    of the action-id matrix; a trajectory that has ended before step k
-    keeps its product unchanged.
+    The k-th factors of all plans and trajectories are one array, from
+    column k of both action-id matrices; a trajectory that has ended
+    before step k keeps its product unchanged.
     """
-    actions = np.array(game.env_actions)
-    probs = np.ones((len(plans), len(game.trajs)))
-    for p, plan in enumerate(plans):
-        for k in range(game.ids.shape[1]):
-            step = listener.step_action_prob(game.game, plan, k,
-                                             actions[game.ids[:, k]])
-            probs[p] = np.where(k < game.lengths, probs[p] * step, probs[p])
+    n = len(game.env_actions)
+    probs = np.ones((len(plan_actions), len(game.trajs)))
+    for k in range(game.ids.shape[1]):
+        step = ((1.0 - epsilon) * (plan_actions[:, k, None] == game.ids[:, k])
+                + epsilon / n)
+        probs = np.where(k < game.lengths, probs * step, probs)
     return probs
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -76,6 +77,45 @@ class TestBuildCommunity:
         assert loaded.codebook == lewis_community.codebook
         assert loaded.seed == lewis_community.seed
         assert loaded.config.to_dict() == lewis_community.config.to_dict()
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True])
+    def test_a_bad_seed_is_a_config_error(self, lewis3, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            build_community(CommunityConfig(game=lewis3), seed)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: {k: v for k, v in doc.items() if k != "seed"},
+        lambda doc: {**doc, "codebook": list(doc["codebook"])},
+        lambda doc: {**doc, "codebook": {"a": 1}},
+        lambda doc: {**doc, "seed": "x"},
+        lambda doc: {**doc, "seed": -1},
+        lambda doc: {**doc, "config": None},
+        lambda doc: {**doc, "config": {**doc["config"], "game": None}},
+        lambda doc: {**doc, "config": {**doc["config"], "colour": "red"}},
+        lambda doc: {**doc, "format_version": 2},
+        lambda doc: {**doc, "format_version": True},
+        lambda doc: {**doc, "extra": 1},
+    ], ids=["list", "no-seed", "list-codebook", "int-plan", "string-seed",
+            "negative-seed", "null-config", "null-game", "unknown-config-key",
+            "version-2", "version-true", "unknown-key"])
+    def test_a_malformed_community_file_is_a_config_error(
+            self, tmp_path, lewis_community, edit):
+        path = tmp_path / "community.json"
+        save_community(lewis_community, path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ConfigError):
+            load_community(path)
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}", b""])
+    def test_a_community_file_that_is_not_json_is_a_config_error(
+            self, tmp_path, raw):
+        path = tmp_path / "community.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match="cannot read JSON"):
+            load_community(path)
 
 
 class TestTargetPrior:

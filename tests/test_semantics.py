@@ -17,7 +17,9 @@ from cooplang import (
     semantic_distance,
     trajectory_distance,
 )
+from cooplang.semantics import distances, emission_distances
 from cooplang.errors import (
+    ConfigError,
     DistributionError,
     DomainMismatchError,
     SupportMismatchError,
@@ -233,9 +235,9 @@ class TestOptimalMessage:
         table = listener_table(codebook_listener, lewis3)
         stranger = enumerate_trajectories(lewis_game(n_candidates=4))[3]
         assert stranger.canonical_key not in table.game.key_index
-        assert table.emission_distances(stranger, DistanceConfig()).tolist() \
-            == table.distances(table.row(NULL_MESSAGE),
-                               table.message_rows[1:], DistanceConfig()).tolist()
+        assert emission_distances(table, stranger, DistanceConfig()).tolist() \
+            == distances(table, table.row(NULL_MESSAGE),
+                         table.message_rows[1:], DistanceConfig()).tolist()
 
     def test_supermarket_brute_force(self, sm_3x3):
         from cooplang import CommunityConfig, build_community, trajectory_return
@@ -366,6 +368,13 @@ class TestPositiveSignalling:
         a = positive_signalling_test(episodes, cfg, seed=3)
         b = positive_signalling_test(episodes, cfg, seed=3)
         assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
+
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True])
+    def test_a_bad_seed_is_a_config_error(self, seed):
+        episodes = [((), (f"pick{i % 3}",), ("abc"[i % 3],))
+                    for i in range(30)]
+        with pytest.raises(ConfigError, match="seed"):
+            positive_signalling_test(episodes, DistanceConfig(), seed=seed)
 
 
 def _edit(a, b):
@@ -610,8 +619,8 @@ class TestPointMassBlock:
         rows = np.arange(len(table.P))
         assert (table.nnz == 1).all() and len(rows) > 60
         lifts = ("wasserstein1", "total_variation")
-        S = {lift: np.array([table.distances(a, rows,
-                                             DistanceConfig(dist_lift=lift))
+        S = {lift: np.array([distances(table, a, rows,
+                                       DistanceConfig(dist_lift=lift))
                              for a in rows]) for lift in lifts}
         assert len(lifted) == len(rows) * (len(rows) - 1) // 2
         assert all(lift == "total_variation" for _, _, lift in lifted)
@@ -626,11 +635,13 @@ class TestPointMassBlock:
 class TestTransportConstraints:
     @staticmethod
     def kron_build(n, m):
+        """The constraints by Kronecker products, in the CSC form HiGHS
+        takes."""
         import scipy.sparse as sp
 
         row = sp.kron(sp.eye(n), np.ones((1, m)))
         col = sp.kron(np.ones((1, n)), sp.eye(m))
-        return sp.vstack([row, col]).tocsr()[:-1]
+        return sp.vstack([row, col]).tocsr()[:-1].tocsc()
 
     def test_same_matrix_as_the_kron_build(self):
         from cooplang.semantics import _transport_constraints
