@@ -23,7 +23,7 @@ from .errors import (
     VocabularyTooSmallError,
 )
 from .games import (  # step is not called here; perfbench tests patch it
-    GameSpec, Message, Trajectory, enumerate_messages, step, validate_message)
+    GameSpec, Message, Trajectory, step, validate_message)
 from .rng import check_seed
 from .schema import (COMMUNITY, INDEX, INTEGER, LIST, OBJECT, Rule, check,
                      values_of)
@@ -165,7 +165,7 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
         ranked = [trajs[i] for i in np.argsort(-table.values, kind="stable")]
         cover = ranked[: min(config.codebook_k, len(ranked))]
 
-    messages = enumerate_messages(game)
+    messages = table.messages[1:]
     if len(messages) < len(cover):
         raise VocabularyTooSmallError(
             f"{len(messages)} messages available but {len(cover)} plans need "
@@ -307,8 +307,7 @@ def _rollouts(community: Community, listener_ids: np.ndarray,
     for j in np.unique(listener_ids).tolist():
         mine = listener_ids == j
         behaviour = listener_table(community.listeners[j], community.game)
-        planned[mine] = behaviour.plan_actions[
-            behaviour.message_plans[message_ids[mine]]]
+        planned[mine] = behaviour.actions[message_ids[mine]]
         epsilon[mine] = community.listeners[j].epsilon
     return table.walk(planned, epsilon, rng)
 

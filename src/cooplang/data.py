@@ -189,6 +189,9 @@ def _check_fields(doc: dict) -> None:
     for key in ("speaker_id", "listener_id"):
         if type(doc[key]) is not str:
             raise ValueError(f"{key} must be a string, got {doc[key]!r}")
+    if type(doc["trajectory"]) is not dict:  # only hidden_target may be null
+        raise ValueError(
+            f"trajectory must be an object, got {doc['trajectory']!r}")
 
 
 def load(path, game: GameSpec | None = None) -> InteractionDataset:

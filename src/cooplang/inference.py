@@ -24,7 +24,7 @@ from .errors import (
 )
 from .games import (GameSpec, Message, Trajectory, final_state,
                     game_fingerprint, validate_message)
-from .schema import INFERENCE, check
+from .schema import INFERENCE, INTEGER, check
 from .semantics import DistanceConfig, emission_distances, message_distance
 from .tables import GameTable, listener_table
 
@@ -143,9 +143,9 @@ class BrocaModel:
 def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
     """Reject a model document that is not a v1 `kind` model of this game.
 
-    tables names the keys that must map strings to non-empty dicts of int
-    counts, as a fit on at least one record writes them: the decoders take
-    an argmax over a count table.
+    tables names the keys that must map strings to non-empty dicts of
+    integer counts >= 1, as a fit on at least one record writes them: the
+    decoders take an argmax over a count table.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"a {kind} model must be a JSON object")
@@ -162,10 +162,10 @@ def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
         table = doc.get(key)
         if not (isinstance(table, dict) and table
                 and all(isinstance(h, dict) and h
-                        and all(isinstance(c, int) for c in h.values())
+                        and all(INTEGER[0](c) and c >= 1 for c in h.values())
                         for h in table.values())):
-            raise ConfigError(
-                f"{kind} {key} must map keys to non-empty count tables")
+            raise ConfigError(f"{kind} {key} must map keys to non-empty "
+                              "tables of counts >= 1")
 
 
 def _observed_pairs(dataset, game: GameSpec) -> list[tuple]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,8 @@ def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
     """The transport core: lift the ground metric to two probability vectors.
 
     cost_of(p_idx, q_idx) returns the ground-metric submatrix between two
-    index sets of the shared support. A negative entry is rejected.
+    index sets of the shared support. A negative entry is rejected; the
+    Wasserstein support cap is the caller's to check.
     """
     if min(pv.min(), qv.min()) < 0:
         raise DistributionError("probabilities must be non-negative")
@@ -201,7 +202,6 @@ def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
         pv, qv = qv, pv
     p_idx = np.flatnonzero(pv > 0)
     q_idx = np.flatnonzero(qv > 0)
-    _check_support_cap(max(len(p_idx), len(q_idx)), cfg)
     cost = cost_of(p_idx, q_idx)
     if len(p_idx) == 1 and len(q_idx) == 1:
         return float(cost[0, 0])
@@ -224,8 +224,6 @@ def distances(table: ListenerTable, a: int, rows, cfg) -> np.ndarray:
     if S is None:
         for p in table.P:
             _check_normalized(p.tolist(), "p")
-        # values do not depend on the cap, which the check above applied
-        whole = replace(cfg, wasserstein_support_cap=len(table.game.trajs))
         S = np.zeros((len(table.P),) * 2)
         pairs = itertools.combinations(range(len(table.P)), 2)
         if cfg.dist_lift == "wasserstein1":
@@ -237,7 +235,7 @@ def distances(table: ListenerTable, a: int, rows, cfg) -> np.ndarray:
                      if table.nnz[b] > 1 or table.nnz[c] > 1]
         for b, c in pairs:
             S[b, c] = S[c, b] = _lift(table.P[b], table.P[c],
-                                      table.game.cost, whole)
+                                      table.game.cost, cfg)
         table.S[cfg.dist_lift] = S  # whole, or not at all
     return S[a, rows]
 

@@ -5,10 +5,11 @@ order and holds their returns V, a padded action-id matrix, the edit
 distance matrix D, a row at a time on first use, each row one vectorized
 Wagner-Fischer pass over the action-id matrix, the game's messages, and a
 prefix trie of the trajectories that `walk` rolls out many episodes down
-at once. A ListenerTable adds one listener's behaviour: a plan x step
-action-id matrix, a matrix P with one row per distinct behaviour of its
-plans (the default plan included), a message -> plan map and the optimal
-message per target (`mstar`). It also keeps, per lift, the semantic
+at once. A ListenerTable adds one listener's behaviour, indexed by the
+game's message ids: a matrix P with one row per distinct behaviour of its
+plans (the default plan included); per message, its planned action ids
+(`actions`) and its row of P (`message_rows`); and the optimal message
+per target (`mstar`). It also keeps, per lift, the semantic
 matrix S over its behaviour rows as plain data, which
 `semantics.distances` builds whole on first read. Entries have the bits
 of the dict-based brute force.
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainMismatchError, InvalidActionError
+from .errors import ConfigError, DomainMismatchError, InvalidActionError
 from .games import (
     GameSpec,
     Trajectory,
@@ -141,37 +142,32 @@ class GameTable:
 
 
 class ListenerTable:
-    """One listener's behaviour on one game."""
+    """One listener's behaviour on one game, indexed by message id."""
 
     def __init__(self, game: GameTable, listener):
         self.game = game
-        # plan 0 is the default plan, which unknown messages fall back to
         plans = list(dict.fromkeys(
             (listener.default_plan, *listener.codebook.values())))
-        self.plan_actions = _plan_actions(game, plans, listener)
+        plan_actions = _plan_actions(game, plans, listener)
         # plans with equal behaviour share a row, so a != b means P[a] != P[b]
         self.P, rows = np.unique(
-            _plan_probs(game, self.plan_actions, listener.epsilon), axis=0,
+            _plan_probs(game, plan_actions, listener.epsilon), axis=0,
             return_inverse=True)
-        self.plan_rows = rows.ravel()
         self.nnz = (self.P > 0).sum(axis=1)
         plan_id = {plan: p for p, plan in enumerate(plans)}
-        self.plan_of = {canon: plan_id[plan]
-                        for canon, plan in listener.codebook.items()}
+        message_plan = [plan_id[listener.plan_for(m)] for m in game.messages]
+        # per message of `messages`: its planned action ids and its row of P
+        self.actions = plan_actions[message_plan]
+        self.message_rows = rows.ravel()[message_plan]
         self.S: dict[str, np.ndarray] = {}  # lift -> S (semantics.distances)
 
     def row(self, message) -> int:
-        return int(self.plan_rows[self.plan_of.get(message.canonical(), 0)])
-
-    @cached_property
-    def message_plans(self) -> np.ndarray:
-        """The plan of each of the game's messages, in `messages` order."""
-        return np.array([self.plan_of.get(m.canonical(), 0)
-                         for m in self.game.messages])
-
-    @cached_property
-    def message_rows(self) -> np.ndarray:
-        return self.plan_rows[self.message_plans]
+        """The row of P of a game message; any other is a ConfigError."""
+        i = self.game.message_ids.get(message.canonical())
+        if i is None:
+            raise ConfigError(
+                f"{message.canonical()!r} is not a message of the game")
+        return int(self.message_rows[i])
 
     @cached_property
     def mstar(self) -> np.ndarray:

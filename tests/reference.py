@@ -10,7 +10,7 @@ import numpy as np
 
 from cooplang import enumerate_trajectories, trajectory_distance
 from cooplang.errors import SupportMismatchError
-from cooplang.semantics import _check_normalized, _lift
+from cooplang.semantics import _check_normalized, _check_support_cap, _lift
 
 
 def behaviour(game, listener, message):
@@ -33,7 +33,8 @@ def behaviour(game, listener, message):
 def distribution_distance(p, q, cfg):
     """Lift the trajectory metric to two distributions on a shared finite
     support, each a dict from trajectory to probability; transport costs
-    come from `trajectory_distance`, pair by pair."""
+    come from `trajectory_distance`, pair by pair. Under wasserstein1,
+    unequal distributions may hold at most the support cap's atoms."""
     if set(t.canonical_key for t in p) != set(t.canonical_key for t in q):
         raise SupportMismatchError("distributions have different supports")
     _check_normalized(p.values(), "p")
@@ -42,6 +43,8 @@ def distribution_distance(p, q, cfg):
     support = sorted(p, key=lambda t: t.canonical_key)
     pv = np.array([p[t] for t in support])
     qv = np.array([q[t] for t in support])
+    if cfg.dist_lift == "wasserstein1" and not np.array_equal(pv, qv):
+        _check_support_cap(max((pv > 0).sum(), (qv > 0).sum()), cfg)
 
     def cost(p_idx, q_idx):
         return np.array([

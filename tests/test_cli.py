@@ -209,9 +209,19 @@ class TestErrorHandling:
         ("wernicke.json", "eval-listener", without("backoff")),
         ("wernicke.json", "eval-listener",
          lambda doc: {**doc, "table": {"a": {"start::pick0": 1.5}}}),
+        ("broca.json", "eval-speaker",
+         lambda doc: {**doc, "table": {"start::pick0": {"a": True}}}),
+        ("broca.json", "eval-speaker",
+         lambda doc: {**doc, "backoff_table": {"none": {"a": 0}}}),
+        ("wernicke.json", "eval-listener",
+         lambda doc: {**doc, "table": {"a": {"start::pick0": -7}}}),
+        ("wernicke.json", "eval-listener",
+         lambda doc: {**doc, "table": {"a": {"start::pick0": False}}}),
     ], ids=["broca-list", "broca-no-backoff-table", "broca-table-list",
             "broca-text-count", "wernicke-list", "wernicke-no-table",
-            "wernicke-no-alpha", "wernicke-no-backoff", "wernicke-float-count"])
+            "wernicke-no-alpha", "wernicke-no-backoff", "wernicke-float-count",
+            "broca-bool-count", "broca-zero-count", "wernicke-negative-count",
+            "wernicke-bool-count"])
     def test_malformed_model_is_config_error(self, config_path, tmp_path,
                                              capsys, artifact, command, edit):
         assert run("collect", "--config", config_path, "--n", "30",

@@ -185,6 +185,7 @@ class TestPersistence:
         ("episode_seed", True),
         ("speaker_id", 0),
         ("listener_id", None),
+        ("trajectory", None),       # only hidden_target may be null
     ])
     def test_field_of_the_wrong_type_names_its_line(self, tmp_path, key,
                                                     value):

@@ -435,6 +435,42 @@ class TestTables:
             want = [trajectory_distance(u, tau) for u in table.trajs]
             assert (_bits(table.column(tau)) == _bits(want)).all()
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("name", ["lewis", "sm_2x2", "sm_3x3"])
+    def test_listener_table_is_indexed_by_message(self, name, epsilon, lewis3,
+                                                  sm_2x2, sm_3x3):
+        from cooplang import CommunityConfig, build_community
+        from cooplang.tables import listener_table
+
+        game = {"lewis": lewis3, "sm_2x2": sm_2x2, "sm_3x3": sm_3x3}[name]
+        trajs, env_actions = game.table.trajs, game.env_actions
+        com = build_community(CommunityConfig(game=game, codebook_k=8), 0)
+        # "zz" is no message of the game; a one-step default plan is padded
+        listener = ListenerPolicy(
+            codebook={**com.codebook, "zz": trajs[1].actions},
+            epsilon=epsilon, default_plan=trajs[-1].actions[:1])
+        table = listener_table(listener, game)
+        steps = range(table.game.ids.shape[1])
+        assert table.actions.shape == (len(table.game.messages), len(steps))
+        for m, actions in zip(table.game.messages, table.actions.tolist()):
+            plan = listener.plan_for(m)
+            assert actions == [
+                env_actions.index(listener.planned_action(game, plan, k))
+                for k in steps]
+            want = list(behaviour(game, listener, m).values())
+            assert (_bits(table.P[table.row(m)]) == _bits(want)).all()
+
+    def test_row_of_a_message_outside_the_game_is_a_config_error(self,
+                                                                 lewis3):
+        from cooplang.tables import listener_table
+
+        listener = ListenerPolicy(codebook={"zz": ("pick1",)})
+        table = listener_table(listener, lewis3)
+        # not in the vocab, even as a codebook key; longer than L = 1
+        for message in (Message(("zz",)), Message(("a", "b"))):
+            with pytest.raises(ConfigError, match="not a message of the game"):
+                table.row(message)
+
     def test_one_lp_per_distinct_plan_pair(self, sm_2x2, monkeypatch):
         from cooplang import CommunityConfig, build_community
         from cooplang.community import speaker_message_dist
