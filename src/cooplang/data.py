@@ -8,6 +8,7 @@ sees the public view, with ground truth stripped.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 
 from .community import Community, _rollouts, _sample_messages, _sample_targets
@@ -22,6 +23,9 @@ from .rng import PCG64Array
 from .schema import RUN, check
 
 DATASET_FORMAT_VERSION = 1
+# a record line: its seed, a JSON integer >= 0 (`[0-9]`: `\d` also
+# matches digits that JSON rejects), and its body
+_SEEDED = re.compile(r'\{"episode_seed":(0|[1-9][0-9]*),(.*)', re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -192,13 +196,58 @@ def _check_fields(doc: dict) -> None:
     if type(doc["trajectory"]) is not dict:  # only hidden_target may be null
         raise ValueError(
             f"trajectory must be an object, got {doc['trajectory']!r}")
+    hidden = doc.get("hidden_target")
+    if hidden is not None and type(hidden) is not dict:
+        raise ValueError(
+            f"hidden_target must be an object or null, got {hidden!r}")
+
+
+def _fields(doc: dict, fp: str, game: GameSpec | None) -> tuple:
+    """A record's checked (message, trajectory, hidden_target, speaker_id,
+    listener_id)."""
+    _check_fields(doc)
+    message = Message(tuple(doc["message"]))
+    if game is not None:
+        validate_message(game, message)
+    return (message, _traj_from_json(doc["trajectory"], fp, game),
+            _traj_from_json(doc["hidden_target"], fp, game),
+            doc["speaker_id"], doc["listener_id"])
+
+
+def _seeded(line: str, bodies: dict, fp: str, game: GameSpec | None):
+    """(episode_seed, fields) of a line `{"episode_seed":N,` + body, or None.
+
+    Such a line is the object `"{" + body` plus its seed, so each distinct
+    body is parsed and checked once and its fields kept in `bodies`. None
+    (the line is then parsed alone) for any other line, for a body whose
+    object holds an `episode_seed` key, and on any error, such as the
+    missing fields of the empty body of `{"episode_seed":1,}`.
+    """
+    seeded = _SEEDED.match(line)
+    if seeded is None:
+        return None
+    seed, body = seeded.groups()
+    try:
+        seed = int(seed)
+        fields = bodies.get(body)
+        if fields is None:
+            doc = json.loads("{" + body)
+            if "episode_seed" in doc:  # the line's later key would win
+                return None
+            doc["episode_seed"] = seed
+            fields = bodies[body] = _fields(doc, fp, game)
+        return seed, fields
+    except Exception:  # the line's own parse gives the exact result or error
+        return None
 
 
 def load(path, game: GameSpec | None = None) -> InteractionDataset:
     """Parse a JSONL dataset; optionally check it against a game.
 
     Given a game, every message must be a message of the game and every
-    trajectory one of its table, steps included.
+    trajectory one of its table, steps included. Each distinct record body
+    (a line after its leading `{"episode_seed":N,`) is parsed and checked
+    once per call, and its records share their message and trajectories.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -235,22 +284,19 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
         )
 
     records = []
+    bodies: dict[str, tuple] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            doc = json.loads(line)
-            _check_fields(doc)
-            message = Message(tuple(doc["message"]))
-            if game is not None:
-                validate_message(game, message)
-            records.append(InteractionRecord(
-                message=message,
-                trajectory=_traj_from_json(doc["trajectory"], fp, game),
-                hidden_target=_traj_from_json(doc["hidden_target"], fp, game),
-                episode_seed=doc["episode_seed"],
-                speaker_id=doc["speaker_id"],
-                listener_id=doc["listener_id"],
-            ))
-        # JSONDecodeError is a ValueError; validate_message raises ConfigError
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise DatasetParseError(lineno, str(exc)) from exc
+        seeded = _seeded(line, bodies, fp, game)
+        if seeded is None:
+            try:
+                doc = json.loads(line)
+                fields = _fields(doc, fp, game)
+                seeded = doc["episode_seed"], fields
+            # JSONDecodeError is a ValueError; validate_message raises
+            # ConfigError
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+                raise DatasetParseError(lineno, str(exc)) from exc
+        seed, (message, trajectory, hidden_target, speaker, listener) = seeded
+        records.append(InteractionRecord(message, trajectory, hidden_target,
+                                         seed, speaker, listener))
     return InteractionDataset(game_fingerprint=fp, records=records, meta=meta)

@@ -186,6 +186,9 @@ class TestPersistence:
         ("speaker_id", 0),
         ("listener_id", None),
         ("trajectory", None),       # only hidden_target may be null
+        ("hidden_target", "x"),
+        ("hidden_target", 5),
+        ("hidden_target", []),
     ])
     def test_field_of_the_wrong_type_names_its_line(self, tmp_path, key,
                                                     value):
@@ -270,6 +273,73 @@ class TestLoadAgainstGame:
                 assert tau is table.trajs[table.key_index[tau.canonical_key]]
 
 
+def _outcome(path, game=None):
+    """load's records, or its error as (line number, reason)."""
+    try:
+        return load(path, game=game).records
+    except DatasetParseError as exc:
+        return exc.line_number, str(exc).split(": ", 1)[1]
+
+
+class TestRepeatedBodies:
+    """A record body (a line after its `{"episode_seed":N,`) seen before is
+    not parsed again; load gives what a parse of each line alone gives."""
+
+    # noiseless on 3x3: with listener noise, its 150 bodies are all distinct
+    @pytest.mark.parametrize("kind,epsilon", [
+        ("lewis3", 0.1), ("sm_2x2", 0.1), ("sm_3x3", 0.0)])
+    def test_each_record_is_its_line_loaded_alone(self, request, kind,
+                                                  epsilon, tmp_path):
+        game = request.getfixturevalue(kind)
+        community = build_community(
+            CommunityConfig(game=game, epsilon=epsilon, codebook_k=8), 0)
+        path = tmp_path / "d.jsonl"
+        save(collect(community, 150, master_seed=1), path)
+        header, *lines = path.read_text().splitlines()
+        bodies = {line.partition(",")[2] for line in lines}
+        assert len(bodies) < len(lines)  # some bodies repeat
+        one = tmp_path / "one.jsonl"
+        for against in (None, game):
+            records = load(path, game=against).records
+            assert len(records) == len(lines)
+            for rec, line in zip(records, lines):
+                one.write_text(header + "\n" + line + "\n")
+                assert [rec] == load(one, game=against).records
+
+    # BODY is a valid record's body; OPEN is that body without its "}"
+    @pytest.mark.parametrize("line", [
+        *('{"episode_seed":' + seed + ",BODY" for seed in (
+            "-1", "01", "1.0", "1e3", "true", '"1"', "1\u0661", "7" * 5000)),
+        '{"episode_seed":1,}',
+        '{"episode_seed":1,"episode_seed":7,BODY',
+        '{"episode_seed":1,OPEN,"episode_seed":7}',
+        '{"episode_seed":1,"episode\\u005fseed":7,BODY',
+    ], ids=["negative", "leading-zero", "float", "exponent", "bool",
+            "string", "arabic-digit", "5000-digits", "no-body",
+            "duplicate-first", "duplicate-last", "duplicate-escaped"])
+    def test_odd_line_after_its_body_loads_as_alone(self, lewis_community,
+                                                    tmp_path, monkeypatch,
+                                                    line):
+        path = tmp_path / "d.jsonl"
+        save(collect(lewis_community, 1, master_seed=0), path)
+        header, valid = path.read_text().splitlines()
+        body = valid.partition(",")[2]
+        line = line.replace("BODY", body).replace("OPEN", body[:-1])
+        path.write_text("\n".join([header, valid, line]) + "\n")
+        got = _outcome(path, lewis_community.game)
+        path.write_text(header + "\n" + line + "\n")
+        # the per-line parse alone, every line parsed in full
+        monkeypatch.setattr("cooplang.data._seeded", lambda *args: None)
+        alone = _outcome(path, lewis_community.game)
+        if isinstance(alone, tuple):
+            assert got == (alone[0] + 1, alone[1])
+        else:
+            assert got[1:] == alone
+            assert got[0].episode_seed == 0
+        if line.count("episode") == 2:
+            assert alone[0].episode_seed == 7  # the later key wins
+
+
 class TestSave:
     def test_lines_are_dumps_of_each_record(self, lewis_community, tmp_path):
         """Texts shared across records give each line json.dumps' bytes."""
@@ -279,7 +349,10 @@ class TestSave:
 
         path = tmp_path / "d.jsonl"
         save(collect(lewis_community, 40, master_seed=3), path)
-        records = load(path).records  # a trajectory object per record
+        # distinct but equal trajectory objects, which save dumps separately
+        records = [replace(r, trajectory=replace(r.trajectory),
+                           hidden_target=replace(r.hidden_target))
+                   for r in load(path).records]
         records[1] = replace(records[1], hidden_target=None,
                              speaker_id="spéaker \"0\"")
         records[2] = replace(records[2], episode_seed=2**70)
