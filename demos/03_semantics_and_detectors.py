@@ -51,12 +51,12 @@ def main():
     print(f"positive signalling: detected={sig.detected} "
           f"MI={sig.statistic:.3f} nats, p={sig.p_value:.4f}")
 
-    lis = positive_listening_test(listener, game, [()], msgs, cfg)
+    lis = positive_listening_test(listener, game, msgs, cfg)
     print(f"positive listening:  detected={lis.detected} "
           f"statistic={lis.statistic:.3f}")
 
     blind = ListenerPolicy(codebook={}, epsilon=0.0)
-    lis = positive_listening_test(blind, game, [()], msgs, cfg)
+    lis = positive_listening_test(blind, game, msgs, cfg)
     print(f"message-blind listener: detected={lis.detected} "
           f"statistic={lis.statistic}")
 

@@ -178,8 +178,8 @@ def cmd_detect(cfg: ExperimentConfig, args) -> str:
     ]
     signalling = positive_signalling_test(episodes, cfg.distances)
     listening = positive_listening_test(
-        community.listeners[0], cfg.game, [()],
-        cfg.game.table.messages[1:], cfg.distances,
+        community.listeners[0], cfg.game, cfg.game.table.messages[1:],
+        cfg.distances,
     )
     path = _write_json(out / ARTIFACTS["report_json"], {
         "positive_signalling": asdict(signalling),

@@ -9,12 +9,18 @@ between the listener behaviours they induce, read from the semantic
 matrix S over a listener table's rows (`distances`). Each transport LP goes
 straight to the HiGHS binding that `scipy.optimize.linprog` wraps (see
 `linprog`): the same optimum to the bit, at about a third of the cost.
+The LPs of one S are independent, so they are spread over every CPU the
+process may use: the caller solves a share and a process-wide thread pool
+the rest (`_lift_pairs`). There is no option; S has the same bits on any
+number of CPUs. The gain needs HiGHS's `run` to release the GIL, as it
+does on scipy 1.17.1; on the 1.15 floor that is unverified.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,7 +222,8 @@ def distances(table: ListenerTable, a: int, rows, cfg) -> np.ndarray:
     table to rows, a row or an array of rows; the table keeps S per lift.
 
     The support cap is checked on every call, on the rows read; S holds
-    only values.
+    only values. The Wasserstein-1 LPs of a new S run on every usable CPU
+    (`_lift_pairs`), and S gets the bits one loop over the pairs gives.
     """
     if cfg.dist_lift == "wasserstein1" and np.any(rows != a):
         _check_support_cap(max(table.nnz[a], table.nnz[rows].max()), cfg)
@@ -233,11 +240,77 @@ def distances(table: ListenerTable, a: int, rows, cfg) -> np.ndarray:
             S[np.ix_(point, point)] = table.game.cost(atoms, atoms)
             pairs = [(b, c) for b, c in pairs
                      if table.nnz[b] > 1 or table.nnz[c] > 1]
-        for b, c in pairs:
-            S[b, c] = S[c, b] = _lift(table.P[b], table.P[c],
-                                      table.game.cost, cfg)
+        _lift_pairs(table, pairs, cfg, S)
         table.S[cfg.dist_lift] = S  # whole, or not at all
     return S[a, rows]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The process-wide threads that solve transport LPs beside the caller,
+    one fewer than the usable CPUs (at least one), started on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(_usable_cpus() - 1, 1),
+                              thread_name_prefix="cooplang-lp")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads, so it starts its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _lift_chunk(table: ListenerTable, chunk, cfg, S):
+    """Lift the (index, (b, c)) pairs of a chunk in order into S. Returns
+    the index and error of the first pair that fails, which ends the chunk,
+    or None."""
+    for k, (b, c) in chunk:
+        try:
+            S[b, c] = S[c, b] = _lift(table.P[b], table.P[c],
+                                      table.game.cost, cfg)
+        except Exception as error:
+            return k, error
+    return None
+
+
+def _lift_pairs(table: ListenerTable, pairs, cfg, S) -> None:
+    """Lift pairs of behaviour rows into S, Wasserstein-1 ones on every
+    usable CPU.
+
+    Each Wasserstein-1 pair is an LP. The pairs are dealt into min(pairs,
+    CPUs) interleaved chunks; the caller lifts the first and `_pool` the
+    others, and HiGHS's `run` releases the GIL, so the LPs run at once.
+    Each pair writes only its own entries, by the same operations as one
+    loop, so S has the same bits however the chunks finish. Before any
+    thread starts, the caller imports scipy and fills the rows of D of
+    every atom of the pairs' supports, so no thread writes D's lazy cache.
+    On one CPU, or for at most one pair, the caller lifts every pair and no
+    pool starts. If pairs fail, every chunk is waited for and the error of
+    the first failing pair, in pair order, is raised, as one loop would.
+    """
+    indexed = list(enumerate(pairs))
+    workers = 1
+    if cfg.dist_lift == "wasserstein1":
+        workers = max(min(len(pairs), _usable_cpus()), 1)
+    futures = []
+    if workers > 1:
+        _highs_options()
+        for atom in np.flatnonzero(table.P[np.unique(pairs)].any(axis=0)):
+            table.game.row(atom)
+        futures = [_pool().submit(_lift_chunk, table, indexed[i::workers],
+                                  cfg, S) for i in range(1, workers)]
+    failures = [_lift_chunk(table, indexed[::workers], cfg, S)]
+    failures += [future.result() for future in futures]
+    failures = [failure for failure in failures if failure is not None]
+    if failures:
+        raise min(failures)[1]  # pair indices differ; errors never compare
 
 
 def emission_distances(table: ListenerTable, target, cfg) -> np.ndarray:
@@ -268,19 +341,15 @@ def semantic_distance(
 
 
 def positive_listening_test(
-    listener, game: GameSpec,
-    contexts: list, messages: list[Message], cfg: DistanceConfig,
+    listener, game: GameSpec, messages: list[Message], cfg: DistanceConfig,
 ) -> DetectorReport:
     """Does any message move the listener away from null-message behaviour?
 
-    Contexts are conditioning variables (observation-history prefixes).
-    Plan-executing listeners are context-invariant, so every context gives
-    the same distances and the witness reports the first context.
+    Plan-executing listeners ignore the observation history, so the
+    witness's first element is the empty history `()`.
     """
     if not messages:
         raise ConfigError("positive_listening_test needs a non-empty message list")
-    if not contexts:
-        contexts = [()]
     for msg in messages:
         validate_message(game, msg)
     table = listener_table(listener, game)
@@ -289,7 +358,7 @@ def positive_listening_test(
     first = int(np.argmax(d))  # the first message at the largest distance
     return DetectorReport(detected=bool(d[first] > cfg.listening_epsilon),
                           statistic=float(d[first]),
-                          witness=(contexts[0], messages[first].canonical()))
+                          witness=((), messages[first].canonical()))
 
 
 def _mutual_information(x: np.ndarray, y: np.ndarray) -> float:

@@ -211,7 +211,7 @@ def test_criterion_5_detector_calibration(lewis3):
     # message-blind listener: statistic exactly zero
     blind = ListenerPolicy(codebook={}, epsilon=0.0)
     listening = cl.positive_listening_test(
-        blind, lewis3, [()], cl.enumerate_messages(lewis3), DistanceConfig())
+        blind, lewis3, cl.enumerate_messages(lewis3), DistanceConfig())
     assert listening.statistic == 0.0 and not listening.detected
 
     elapsed = time.monotonic() - start

@@ -297,8 +297,8 @@ class TestSemanticDistance:
 class TestPositiveListening:
     def test_codebook_listener_detected(self, lewis3, codebook_listener):
         report = positive_listening_test(
-            codebook_listener, lewis3, [()],
-            enumerate_messages(lewis3), DistanceConfig())
+            codebook_listener, lewis3, enumerate_messages(lewis3),
+            DistanceConfig())
         assert report.detected
         assert report.statistic == 1.0
         assert report.witness is not None
@@ -306,7 +306,7 @@ class TestPositiveListening:
     def test_message_blind_listener_statistic_exactly_zero(self, lewis3):
         blind = ListenerPolicy(codebook={}, epsilon=0.0)
         report = positive_listening_test(
-            blind, lewis3, [()], enumerate_messages(lewis3), DistanceConfig())
+            blind, lewis3, enumerate_messages(lewis3), DistanceConfig())
         assert not report.detected
         assert report.statistic == 0.0
 
@@ -316,7 +316,7 @@ class TestPositiveListening:
             epsilon=0.5)
         cfg = DistanceConfig(dist_lift="total_variation")
         report = positive_listening_test(
-            listener, lewis3, [()], enumerate_messages(lewis3), cfg)
+            listener, lewis3, enumerate_messages(lewis3), cfg)
         assert report.statistic == pytest.approx(0.5, abs=1e-12)
 
 
@@ -547,7 +547,7 @@ class TestTables:
             with pytest.raises(SupportMismatchError, match="3 atoms"):
                 semantic_distance(listener, lewis3, a, b, capped)
             with pytest.raises(SupportMismatchError):
-                positive_listening_test(listener, lewis3, [()], [b], capped)
+                positive_listening_test(listener, lewis3, [b], capped)
         assert semantic_distance(listener, lewis3, a, b, DistanceConfig()) == d
 
 

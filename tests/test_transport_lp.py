@@ -1,8 +1,11 @@
 """`semantics.linprog`, the transport LP solved straight through HiGHS,
 against scipy's `linprog(method="highs")`: the same optimum bit for bit,
-and the same failures as `DistributionError`."""
+and the same failures as `DistributionError`; and the LPs of one semantic
+matrix spread over the LP thread pool, with the bits and the failure of one
+loop over them."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from cooplang.semantics import (
 )
 
 from reference import linprog_fun
-from test_artifacts import CONFIGS, PIPELINE
+from test_artifacts import CONFIGS, PIPELINE, SM_2X2, SM_3X3
 
 RANDOM_LPS = 2000
 
@@ -139,3 +142,183 @@ class TestFailures:
         with pytest.raises(DistributionError, match="constraints"):
             _check_feasible(np.array(x), fun, np.array(residual))
 
+
+# --- the LPs of one S, spread over a thread pool ----------------------------
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """Deal S's LPs into k chunks, whatever the machine's CPU count. The
+    pool is started first, so its size stays the machine's."""
+    def force(k):
+        semantics._pool()
+        monkeypatch.setattr(semantics, "_usable_cpus", lambda: k)
+    return force
+
+
+def _listener(game: dict, **community):
+    from cooplang import CommunityConfig, build_community
+
+    cfg = CommunityConfig.from_dict({"game": game, **community})
+    return build_community(cfg, 0).listeners[0]
+
+
+def _lp_pairs(table):
+    """The pairs of behaviour rows whose Wasserstein-1 lift is an LP."""
+    rows = range(len(table.P))
+    return [(b, c) for b in rows for c in rows[b + 1:]
+            if table.nnz[b] > 1 or table.nnz[c] > 1]
+
+
+def _S(listener, game_doc: dict):
+    """A fresh table's Wasserstein-1 S, and the table."""
+    from cooplang import GameSpec
+    from cooplang.tables import listener_table
+
+    listener._dist_cache.clear()
+    table = listener_table(listener, GameSpec.from_json_dict(game_doc))
+    semantics.distances(table, 0, np.arange(len(table.P)),
+                        semantics.DistanceConfig())
+    return table.S["wasserstein1"], table
+
+
+@pytest.mark.parametrize("game, community", [
+    (CONFIGS["lewis4-eps0.1"]["game"], {"epsilon": 0.1}),
+    (SM_2X2, {"epsilon": 0.1, "codebook_k": 8}),
+    (SM_2X2, {"epsilon": 0.5, "codebook_k": 8}),
+    (SM_3X3, {"epsilon": 0.1, "codebook_k": 3}),
+], ids=["lewis4-eps0.1", "sm2x2-eps0.1", "sm2x2-eps0.5", "sm3x3-eps0.1"])
+def test_pooled_S_has_the_bits_of_one_loop(game, community, force_workers):
+    listener = _listener(game, **community)
+    force_workers(1)
+    serial, table = _S(listener, game)
+    assert len(_lp_pairs(table)) > 1
+    for k in (2, 3, 8):
+        force_workers(k)
+        assert _S(listener, game)[0].tobytes() == serial.tobytes()
+
+
+def test_pool_threads_fill_no_row_of_D(force_workers, monkeypatch):
+    import threading
+
+    from cooplang.tables import GameTable
+
+    fillers = set()
+    real = GameTable._edit_row
+
+    def recording(self, a):
+        fillers.add(threading.current_thread())
+        return real(self, a)
+
+    monkeypatch.setattr(GameTable, "_edit_row", recording)
+    force_workers(2)
+    _S(_listener(SM_2X2, epsilon=0.1, codebook_k=8), SM_2X2)
+    assert fillers == {threading.current_thread()}
+
+
+def test_random_lps_solved_through_the_pool_match_one_loop():
+    lps = list(_random_lps(12, 500))
+    serial = [float(linprog(c, A_eq=a, b_eq=b)).hex() for c, a, b in lps]
+    semantics._highs_options()
+    pooled = [semantics._pool().submit(linprog, c, A_eq=a, b_eq=b)
+              for c, a, b in lps[1::2]]
+    here = [float(linprog(c, A_eq=a, b_eq=b)).hex() for c, a, b in lps[::2]]
+    assert here == serial[::2]
+    assert [float(f.result()).hex() for f in pooled] == serial[1::2]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pooled_S_solves_one_lp_per_pair(k, force_workers, monkeypatch):
+    listener = _listener(SM_2X2, epsilon=0.1, codebook_k=8)
+    solves = []
+    real = semantics.linprog
+
+    def counting(c, A_eq, b_eq):
+        solves.append(b_eq.tobytes())
+        return real(c, A_eq=A_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(semantics, "linprog", counting)
+    force_workers(k)
+    _, table = _S(listener, SM_2X2)
+    assert len(solves) == len(set(solves)) == len(_lp_pairs(table)) == 36
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_first_failing_pair_raises_and_S_is_not_kept(k, force_workers,
+                                                         monkeypatch):
+    listener = _listener(SM_2X2, epsilon=0.1, codebook_k=8)
+    order = []
+    real = semantics.linprog
+
+    def recording(c, A_eq, b_eq):
+        order.append(b_eq.tobytes())
+        return real(c, A_eq=A_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(semantics, "linprog", recording)
+    force_workers(1)
+    _S(listener, SM_2X2)
+    # pair 5 lies in a pool chunk at 2 and 3 workers, pair 6 in the caller's
+    failing = {order[5]: 5, order[6]: 6}
+
+    def failing_lp(c, A_eq, b_eq):
+        index = failing.get(b_eq.tobytes())
+        if index is not None:
+            raise DistributionError(f"pair {index}")
+        return real(c, A_eq=A_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(semantics, "linprog", failing_lp)
+    force_workers(k)
+    with pytest.raises(DistributionError, match="pair 5"):
+        _S(listener, SM_2X2)
+    table = listener._dist_cache[next(iter(listener._dist_cache))]
+    assert table.S == {}
+
+
+def test_a_command_that_starts_the_pool_exits(tmp_path):
+    """The pool's idle threads do not keep a CLI process alive."""
+    import subprocess
+    import sys
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIGS["sm2x2-eps0.1"]))
+    code = ("import sys; from cooplang import semantics; "
+            "from cooplang.cli import main; "
+            "semantics._usable_cpus = lambda: 2; "
+            f"code = main(['collect', '--config', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}, '--canonical']); "
+            "assert semantics._pool.cache_info().currsize == 1; "
+            "sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", code], timeout=120)
+    assert result.returncode == EXIT_OK
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_pool():
+    """A child forked after the pool started has none of its threads; it
+    must not queue its LPs on them."""
+    import subprocess
+    import sys
+
+    code = f"""
+import os, signal, numpy as np
+from cooplang import CommunityConfig, GameSpec, build_community, semantics
+from cooplang.tables import listener_table
+semantics._usable_cpus = lambda: 2
+
+def S():
+    cfg = CommunityConfig.from_dict(
+        {{"game": {SM_2X2!r}, "epsilon": 0.1, "codebook_k": 8}})
+    table = listener_table(build_community(cfg, 0).listeners[0],
+                           GameSpec.from_json_dict({SM_2X2!r}))
+    semantics.distances(table, 0, np.arange(len(table.P)),
+                        semantics.DistanceConfig())
+    return table.S["wasserstein1"].tobytes()
+
+want = S()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child that hangs ends
+    os._exit(0 if S() == want else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+"""
+    result = subprocess.run([sys.executable, "-c", code], timeout=120)
+    assert result.returncode == 0
