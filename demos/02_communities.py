@@ -5,16 +5,8 @@ builder permutes which message stands for which plan, so two communities
 with different seeds speak different private languages about the same game.
 """
 
-import numpy as np
-
-from cooplang import (
-    CommunityConfig,
-    build_community,
-    lewis_game,
-    rollout,
-    target_prior_sample,
-)
-from cooplang.community import speaker_message_dist, speaker_sample
+from cooplang import CommunityConfig, build_community, collect, lewis_game
+from cooplang.community import speaker_message_dist
 
 
 def main():
@@ -28,7 +20,6 @@ def main():
 
     com = build_community(cfg, 0)
     speaker = com.speakers[0]
-    listener = com.listeners[0]
 
     print()
     print("speaker message distribution per target:")
@@ -40,13 +31,10 @@ def main():
 
     print()
     print("one noisy episode:")
-    rng = np.random.default_rng(7)
-    target = target_prior_sample(com, rng)
-    message = speaker_sample(speaker, game, target, rng)
-    realized = rollout(game, listener, message, rng)
-    print(f"  target   {target.canonical_key}")
-    print(f"  message  {message.canonical()!r}")
-    print(f"  realized {realized.canonical_key}")
+    episode = collect(com, 1, master_seed=7).records[0]
+    print(f"  target   {episode.hidden_target.canonical_key}")
+    print(f"  message  {episode.message.canonical()!r}")
+    print(f"  realized {episode.trajectory.canonical_key}")
 
 
 if __name__ == "__main__":

@@ -8,10 +8,7 @@ from .community import (
     SpeakerPolicy,
     build_community,
     load_community,
-    rollout,
     save_community,
-    speaker_sample,
-    target_prior_sample,
 )
 from .data import InteractionDataset, InteractionRecord, collect, load, save
 from .evaluation import (

@@ -24,8 +24,7 @@ from . import data
 from .community import CommunityConfig, build_community, save_community
 from .errors import ConfigError, CoopLangError
 from .evaluation import eval_listener, eval_speaker, report_csv
-from .games import (NULL_MESSAGE, GameSpec, enumerate_trajectories,
-                    trajectory_return)
+from .games import NULL_MESSAGE, GameSpec, trajectory_return
 from .inference import (
     BrocaModel,
     MapConfig,
@@ -219,7 +218,7 @@ def cmd_eval_listener(cfg: ExperimentConfig, args) -> str:
 def cmd_oracle_check(cfg: ExperimentConfig, args) -> str:
     """Brute-force equivalence checks for the MAP estimator and normalizers."""
     game = cfg.game
-    trajs = enumerate_trajectories(game)
+    trajs = game.table.trajs
     rng = np.random.default_rng(cfg.run["seed"])
     passed = failed = 0
     for _ in range(100):

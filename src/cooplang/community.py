@@ -16,14 +16,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InvalidActionError,
-    SupportMismatchError,
-    VocabularyTooSmallError,
-)
+from .errors import ConfigError, SupportMismatchError, VocabularyTooSmallError
 from .games import (  # step is not called here; perfbench tests patch it
-    GameSpec, Message, Trajectory, step, validate_message)
+    GameSpec, Message, Trajectory, step)
 from .rng import check_seed
 from .schema import (COMMUNITY, INDEX, INTEGER, LIST, OBJECT, Rule, check,
                      values_of)
@@ -78,27 +73,6 @@ class SpeakerPolicy:
     def __post_init__(self):
         check("community", COMMUNITY, {"temp_msg": self.temp_msg,
                                        "greedy_msg": self.greedy_msg})
-
-
-def rollout(game: GameSpec, listener: ListenerPolicy, message: Message,
-            rng: np.random.Generator) -> Trajectory:
-    """Sample one listener trajectory given a message."""
-    validate_message(game, message)
-    table = game.table
-    plan = listener.plan_for(message)
-    actions = table.env_actions
-    path: tuple[str, ...] = ()
-    # the enumeration is prefix-free, so a path is a whole trajectory
-    # exactly when the episode ends there (terminal state or horizon)
-    while (i := table.index.get(path)) is None:
-        if listener.epsilon > 0 and rng.random() < listener.epsilon:
-            a = actions[rng.integers(len(actions))]
-        else:
-            a = listener.planned_action(game, plan, len(path))
-            if a not in actions:
-                raise InvalidActionError(f"action {a!r} not in {actions}")
-        path += (a,)
-    return table.trajs[i]
 
 
 @dataclass
@@ -195,15 +169,6 @@ def build_community(config: CommunityConfig, seed: int) -> Community:
                      seed=seed, config=config)
 
 
-def target_prior_sample(community: Community,
-                        rng: np.random.Generator) -> Trajectory:
-    """Sample an intended trajectory from the Boltzmann prior over returns."""
-    table = community.game.table
-    if community.config.greedy_target:
-        return table.trajs[int(np.argmax(table.values))]
-    return table.trajs[_draw(community._prior_cdf, rng)]
-
-
 def _boltzmann(scores: np.ndarray, temp: float) -> np.ndarray:
     """exp(scores / temp), normalized."""
     scaled = scores / temp
@@ -218,20 +183,11 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Generator.choice(len(p), p=p) given the CDF of p.
-
-    The same arithmetic as numpy's: the same index, drawn from the same
-    single uniform, so the stream is left at the same position.
-    """
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
 def _speaker_table(
     speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
-) -> tuple[list[Message], np.ndarray, np.ndarray]:
-    """S(m*(target), m) over the emission space (length 1..L), always under the
-    default DistanceConfig, and the CDF of the speaker's message distribution."""
+) -> tuple[list[Message], np.ndarray]:
+    """The emission space (messages of length 1..L) and S(m*(target), m)
+    over it, always under the default DistanceConfig."""
     table = listener_table(speaker.listener_ref, game)
     try:
         dists = emission_distances(table, target, DistanceConfig())
@@ -239,39 +195,25 @@ def _speaker_table(
         raise SupportMismatchError(
             f"{str(exc).partition(';')[0]}, and the speakers' lift (wasserstein1) and "
             "cap are fixed: the distances settings configure the detectors") from None
-    return table.game.messages[1:], dists, _cdf(_boltzmann(-dists, speaker.temp_msg))
+    return table.game.messages[1:], dists
 
 
 def speaker_message_dist(
     speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
 ) -> tuple[list[Message], np.ndarray]:
     """Message distribution exp(-S(m*, m)/temp) over messages of length 1..L."""
-    msgs, dists, _ = _speaker_table(speaker, game, target)
+    msgs, dists = _speaker_table(speaker, game, target)
     return msgs, _boltzmann(-dists, speaker.temp_msg)
 
 
-def speaker_sample(speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
-                   rng: np.random.Generator) -> Message:
-    """Sample a message for a target trajectory from the Boltzmann emitter.
-
-    The zero-temperature flag takes the Boltzmann limit over the emission
-    space: the first message (shortest, then lexicographic) at minimal
-    semantic distance from the optimal message, which is the optimal
-    message itself whenever that message is emittable.
-    """
-    msgs, dists, cdf = _speaker_table(speaker, game, target)
-    if speaker.greedy_msg:
-        return msgs[int(np.argmin(dists))]
-    return msgs[_draw(cdf, rng)]
-
-
-# Every episode of a run at once: rng is a PCG64Array with one stream per
-# episode, and each function makes the draws of its one-episode counterpart
-# on every stream, in the same order, so stream i's results are that
-# function's on default_rng stream i.
+# The episode simulator: every episode of a run at once. rng is a PCG64Array
+# with one stream per episode, and each categorical draw is
+# Generator.choice(len(p), p=p) on every stream: one uniform searched in the
+# CDF of p (`_cdf`), so stream i's results are default_rng stream i's.
 
 def _sample_targets(community: Community, rng) -> np.ndarray:
-    """target_prior_sample per stream, as trajectory ids."""
+    """Per stream, a target drawn from the Boltzmann prior over returns, or
+    the highest-return trajectory under greedy_target; trajectory ids."""
     if community.config.greedy_target:
         return np.full(len(rng), int(np.argmax(community.game.table.values)))
     return community._prior_cdf.searchsorted(rng.random(), side="right")
@@ -279,8 +221,15 @@ def _sample_targets(community: Community, rng) -> np.ndarray:
 
 def _sample_messages(community: Community, speaker_ids: np.ndarray,
                      targets: np.ndarray, rng) -> np.ndarray:
-    """speaker_sample per stream, as ids into `game.table.messages`; one
-    table read per distinct (speaker, target)."""
+    """Per stream, a message drawn from its speaker's distribution for its
+    target (`speaker_message_dist`), as ids into `game.table.messages`; one
+    table read per distinct (speaker, target).
+
+    A greedy_msg speaker draws nothing and takes the Boltzmann limit over
+    the emission space: the first message (shortest, then lexicographic)
+    at minimal semantic distance from the optimal message, which is the
+    optimal message itself whenever that message is emittable.
+    """
     speakers, trajs = community.speakers, community.game.table.trajs
     draws = ~np.array([s.greedy_msg for s in speakers])[speaker_ids]
     u = np.zeros(len(rng))
@@ -290,17 +239,19 @@ def _sample_messages(community: Community, speaker_ids: np.ndarray,
     out = np.empty(len(rng), np.int64)
     for g, pair in enumerate(pairs.tolist()):
         s, t = divmod(pair, len(trajs))
-        mine = group == g
-        _, dists, cdf = _speaker_table(speakers[s], community.game, trajs[t])
-        out[mine] = 1 + (np.argmin(dists) if speakers[s].greedy_msg
-                         else cdf.searchsorted(u[mine], side="right"))
+        speaker, mine = speakers[s], group == g
+        _, dists = _speaker_table(speaker, community.game, trajs[t])
+        out[mine] = 1 + (
+            np.argmin(dists) if speaker.greedy_msg
+            else _cdf(_boltzmann(-dists, speaker.temp_msg)).searchsorted(
+                u[mine], side="right"))
     return out
 
 
 def _rollouts(community: Community, listener_ids: np.ndarray,
               message_ids: np.ndarray, rng) -> np.ndarray:
-    """rollout per stream, as trajectory ids; messages are ids into
-    `game.table.messages`."""
+    """Per stream, the trajectory id of its listener's noisy walk on its
+    message (`GameTable.walk`); messages are ids into `game.table.messages`."""
     table = community.game.table
     planned = np.empty((len(rng), table.ids.shape[1]), np.int64)
     epsilon = np.empty(len(rng))

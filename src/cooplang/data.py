@@ -26,6 +26,9 @@ DATASET_FORMAT_VERSION = 1
 # a record line: its seed, a JSON integer >= 0 (`[0-9]`: `\d` also
 # matches digits that JSON rejects), and its body
 _SEEDED = re.compile(r'\{"episode_seed":(0|[1-9][0-9]*),(.*)', re.DOTALL)
+# the meta keys `collect` copies from the harness, which `public` drops
+HARNESS_META = ("community_seed", "epsilon", "temp_msg", "temp_target",
+                "master_seed")
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,12 @@ class InteractionDataset:
     meta: dict
 
     def public(self) -> "InteractionDataset":
-        """The observer's view: ground-truth intended trajectories removed."""
+        """The observer's view: ground-truth intended trajectories and the
+        meta keys `collect` copies from the harness removed."""
         return InteractionDataset(
             game_fingerprint=self.game_fingerprint,
             records=[replace(r, hidden_target=None) for r in self.records],
-            meta=dict(self.meta),
+            meta={k: v for k, v in self.meta.items() if k not in HARNESS_META},
         )
 
 
@@ -58,9 +62,10 @@ def collect(community: Community, n_episodes: int, master_seed: int,
     """Generate n_episodes interactions; deterministic given master_seed.
 
     Episode i draws from default_rng([master_seed, i]), so episodes are
-    independent and reproducible individually: its target, speaker and
-    listener (target_prior_sample, integers), message (speaker_sample) and
-    trajectory (rollout). All episodes are drawn at once.
+    independent and reproducible individually: its target from the prior,
+    its speaker and listener (integers), its message from the speaker's
+    distribution and its trajectory from the listener's walk. All
+    episodes are drawn at once (`community._sample_*`, `_rollouts`).
     """
     check("run", RUN, {"n_episodes": n_episodes})
     game = community.game
@@ -84,14 +89,9 @@ def collect(community: Community, n_episodes: int, master_seed: int,
             messages.tolist(), taus.tolist(), targets.tolist(),
             speakers.tolist(), listeners.tolist()))
     ]
-    meta = {
-        "community_seed": community.seed,
-        "epsilon": community.config.epsilon,
-        "temp_msg": community.config.temp_msg,
-        "temp_target": community.config.temp_target,
-        "master_seed": master_seed,
-        "created": timestamp,
-    }
+    meta = dict(zip(HARNESS_META, (
+        community.seed, community.config.epsilon, community.config.temp_msg,
+        community.config.temp_target, master_seed)), created=timestamp)
     return InteractionDataset(
         game_fingerprint=game_fingerprint(game), records=records, meta=meta,
     )

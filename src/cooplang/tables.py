@@ -91,7 +91,7 @@ class GameTable:
 
         At step k, walk i draws u = random() if epsilon[i] > 0 and takes
         action integers(len(env_actions)) when u < epsilon[i], else action
-        id planned[i, k]: `community.rollout`'s draws, in its order.
+        id planned[i, k]; a walk ends at a leaf and then draws no more.
         """
         child, leaf = self._trie
         node = np.zeros(len(planned), np.int64)

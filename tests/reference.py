@@ -4,12 +4,19 @@ Each one computes its value the dict way, one trajectory at a time, from
 the game's enumeration and the trajectory metric, apart from the tables
 in `cooplang.tables`. `linprog_fun` is scipy's own LP wrapper, the
 reference for the direct HiGHS call in `cooplang.semantics.linprog`.
+
+`target_prior_sample`, `speaker_sample` and `rollout` simulate one episode
+on a numpy Generator, drawing every category with its own
+`Generator.choice`; they are the references for the batch episode
+simulator in `cooplang.community`.
 """
 
 import numpy as np
 
 from cooplang import enumerate_trajectories, trajectory_distance
-from cooplang.errors import SupportMismatchError
+from cooplang.community import _speaker_table, speaker_message_dist
+from cooplang.errors import InvalidActionError, SupportMismatchError
+from cooplang.games import validate_message
 from cooplang.semantics import _check_normalized, _check_support_cap, _lift
 
 
@@ -63,3 +70,45 @@ def linprog_fun(c, A_eq, b_eq):
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, method="highs")
     assert res.success, res.message
     return res.fun
+
+
+def target_prior_sample(community, rng):
+    """An intended trajectory drawn from the Boltzmann prior over returns,
+    or the highest-return one under greedy_target."""
+    table = community.game.table
+    if community.config.greedy_target:
+        return table.trajs[int(np.argmax(table.values))]
+    p = community.prior
+    return table.trajs[int(rng.choice(len(p), p=p))]
+
+
+def speaker_sample(speaker, game, target, rng):
+    """A message drawn from the speaker's distribution for the target, or,
+    under greedy_msg, the first message at minimal semantic distance."""
+    if speaker.greedy_msg:
+        msgs, dists = _speaker_table(speaker, game, target)
+        return msgs[int(np.argmin(dists))]
+    msgs, p = speaker_message_dist(speaker, game, target)
+    return msgs[int(rng.choice(len(p), p=p))]
+
+
+def rollout(game, listener, message, rng):
+    """One listener trajectory given a message: each step draws u =
+    random() when epsilon > 0 and takes a uniform action when u < epsilon,
+    else the planned one, until the path is an enumerated trajectory."""
+    validate_message(game, message)
+    table = game.table
+    plan = listener.plan_for(message)
+    actions = table.env_actions
+    path = ()
+    # the enumeration is prefix-free, so a path is a whole trajectory
+    # exactly when the episode ends there (terminal state or horizon)
+    while (i := table.index.get(path)) is None:
+        if listener.epsilon > 0 and rng.random() < listener.epsilon:
+            a = actions[int(rng.choice(len(actions)))]
+        else:
+            a = listener.planned_action(game, plan, len(path))
+            if a not in actions:
+                raise InvalidActionError(f"action {a!r} not in {actions}")
+        path += (a,)
+    return table.trajs[i]

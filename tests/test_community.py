@@ -15,15 +15,13 @@ from cooplang import (
     lewis_game,
     load_community,
     make_trajectory,
-    rollout,
     save_community,
-    speaker_sample,
-    target_prior_sample,
 )
 from cooplang.community import SpeakerPolicy, speaker_message_dist
 from cooplang.errors import ConfigError, VocabularyTooSmallError
 from cooplang.tables import listener_table
-from reference import behaviour, distribution_distance
+from reference import (behaviour, distribution_distance, rollout,
+                       speaker_sample, target_prior_sample)
 
 
 def behaviour_row(listener, game, message):
@@ -387,7 +385,8 @@ class TestFrozenPolicies:
 
 
 class TestSampler:
-    """The CDF draw is numpy's Generator.choice(n, p=p), bit for bit."""
+    """The batch kernels' CDF draw is numpy's Generator.choice(n, p=p), bit
+    for bit."""
 
     @staticmethod
     def vectors(n, rng):
@@ -398,13 +397,15 @@ class TestSampler:
         return [flat, peaked / peaked.sum(), with_zeros / with_zeros.sum()]
 
     def test_cdf_draw_matches_generator_choice(self):
-        from cooplang.community import _cdf, _draw
+        from cooplang.community import _cdf
         for n in range(1, 131):
             for p in self.vectors(n, np.random.default_rng(n)):
                 cdf = _cdf(p)
                 for seed in range(6):
-                    ours = np.random.default_rng([seed, n])
+                    rng = np.random.default_rng([seed, n])
                     numpy = np.random.default_rng([seed, n])
                     for _ in range(3):
-                        assert _draw(cdf, ours) == int(numpy.choice(n, p=p))
-                    assert ours.random() == numpy.random()
+                        assert int(cdf.searchsorted(rng.random(),
+                                                    side="right")) \
+                            == numpy.choice(n, p=p)
+                    assert rng.random() == numpy.random()

@@ -12,7 +12,7 @@ from cooplang import (
     load,
     save,
 )
-from cooplang.data import InteractionDataset
+from cooplang.data import HARNESS_META, InteractionDataset
 from cooplang.errors import (
     ConfigError,
     DatasetParseError,
@@ -63,6 +63,12 @@ class TestCollect:
         public = dataset.public()
         assert all(r.hidden_target is None for r in public.records)
         assert all(r.hidden_target is not None for r in dataset.records)
+
+    def test_public_view_drops_the_harness_meta(self, lewis_community):
+        dataset = collect(lewis_community, 10, master_seed=0, timestamp="t")
+        dataset.meta["note"] = "kept"
+        assert set(HARNESS_META) < set(dataset.meta)
+        assert dataset.public().meta == {"created": "t", "note": "kept"}
 
 
 class TestPersistence:

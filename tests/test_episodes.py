@@ -1,14 +1,14 @@
-"""All episodes at once: the batch runs equal the one-episode API.
+"""All episodes at once: the batch runs equal one-episode references.
 
 `collect`, `eval_speaker` and `eval_listener` draw every episode together
 on a `PCG64Array`. Each test here replays the same episodes one at a time
-on fresh `default_rng` generators through `target_prior_sample`,
-`speaker_sample` and `rollout`, summing reports in episode order, and
-requires the same records and the same report bits.
+on fresh `default_rng` generators through the references
+`target_prior_sample`, `speaker_sample` and `rollout` (tests/reference.py,
+which draw categories with numpy's own `Generator.choice`), summing reports
+in episode order, and requires the same records and the same report bits.
 """
 
 import json
-import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -28,16 +28,15 @@ from cooplang import (
     fit_wernicke,
     lewis_game,
     optimal_message,
-    rollout,
-    speaker_sample,
     supermarket_game,
-    target_prior_sample,
     wernicke_decode,
 )
+import cooplang
 from cooplang import community as community_module
 from cooplang.data import InteractionRecord
 from cooplang.errors import InvalidActionError
 from cooplang.evaluation import ListenerReport, SpeakerReport
+from reference import rollout, speaker_sample, target_prior_sample
 
 GAMES = {
     # four actions and 20 messages
@@ -155,11 +154,22 @@ def test_collect_equals_the_episode_loop(run, seed):
         community, 300, seed)
 
 
+def assert_eval_speaker_equals_the_episode_loop(broca, community, n, seed):
+    assert report_bytes(eval_speaker(broca, community, n, seed)) == \
+        report_bytes(loop_eval_speaker(broca, community, n, seed))
+
+
 @pytest.mark.parametrize("seed", [0, 13])
 def test_eval_speaker_equals_the_episode_loop(run, seed):
     community, broca, _ = run
-    assert report_bytes(eval_speaker(broca, community, 300, seed)) == \
-        report_bytes(loop_eval_speaker(broca, community, 300, seed))
+    assert_eval_speaker_equals_the_episode_loop(broca, community, 300, seed)
+
+
+def test_eval_speaker_equals_the_episode_loop_on_default_lewis():
+    # the 3-candidate Lewis game at epsilon 0, one speaker and one listener
+    community = build_community(CommunityConfig(game=lewis_game()), 0)
+    broca = fit_broca(collect(community, 300, 0), community.game)
+    assert_eval_speaker_equals_the_episode_loop(broca, community, 400, 7)
 
 
 @pytest.mark.parametrize("seed", [0, 13])
@@ -201,17 +211,6 @@ def test_a_plan_action_the_game_lacks_is_invalid(plan):
 @pytest.mark.parametrize("step", ["collect", "eval_speaker", "eval_listener"])
 def test_no_per_episode_calls_or_generators(run, monkeypatch, step):
     community, broca, wernicke = run
-    calls = []
-    for name in ("rollout", "speaker_sample", "target_prior_sample"):
-        real = getattr(community_module, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("cooplang")
-                    and getattr(module, name, None) is real):
-                monkeypatch.setattr(module, name, counted)
     built = []
     for name in ("PCG64", "Generator", "default_rng"):
         real = getattr(np.random, name)
@@ -222,4 +221,11 @@ def test_no_per_episode_calls_or_generators(run, monkeypatch, step):
      "eval_speaker": lambda: eval_speaker(broca, community, 200, 5),
      "eval_listener": lambda: eval_listener(wernicke, community, 200, 5),
      }[step]()
-    assert calls == [] and built == []
+    assert built == []
+
+
+def test_the_batch_kernels_are_the_only_episode_simulator():
+    # the one-episode draws live on only as tests/reference.py's references
+    removed = ("rollout", "speaker_sample", "target_prior_sample", "_draw")
+    assert [n for n in removed if hasattr(cooplang, n)
+            or hasattr(community_module, n)] == []

@@ -73,45 +73,6 @@ class TestEvalSpeaker:
         assert 0 < len(emitted) == len(set(emitted)) <= len(com.game.table.trajs)
 
 
-    def test_report_matches_fresh_generator_reference(self, lewis_community):
-        import json
-        from dataclasses import asdict
-
-        import numpy as np
-
-        from cooplang import (broca_emit, enumerate_messages, optimal_message,
-                              rollout, target_prior_sample, trajectory_return)
-        from cooplang.evaluation import SpeakerReport
-
-        com = lewis_community
-        broca = fit_broca(collect(com, 300, master_seed=0), com.game)
-        n, seed = 400, 7
-        msgs = enumerate_messages(com.game)
-        # every arm rolled out on a fresh default_rng([seed, i, 1])
-        hits = {"model": 0, "oracle": 0, "random": 0}
-        returns = dict.fromkeys(hits, 0.0)
-        for i in range(n):
-            rng = np.random.default_rng([seed, i])
-            target = target_prior_sample(com, rng)
-            listener = com.listeners[int(rng.integers(len(com.listeners)))]
-            arms = {"model": broca_emit(broca, target),
-                    "oracle": optimal_message(com.listeners[0], com.game,
-                                              target),
-                    "random": msgs[int(rng.integers(len(msgs)))]}
-            for arm, message in arms.items():
-                tau = rollout(com.game, listener, message,
-                              np.random.default_rng([seed, i, 1]))
-                hits[arm] += tau.canonical_key == target.canonical_key
-                returns[arm] += trajectory_return(tau, com.game.gamma)
-        arm = {arm: {"success_rate": hits[arm] / n,
-                     "mean_return": returns[arm] / n} for arm in hits}
-        want = SpeakerReport(**arm["model"], n=n, baselines={
-            "oracle": arm["oracle"], "random": arm["random"]})
-        report = eval_speaker(broca, com, n=n, seed=seed)
-        assert json.dumps(asdict(report), sort_keys=True) == json.dumps(
-            asdict(want), sort_keys=True)
-
-
 class TestEvalListener:
     def test_noiseless_recovery_is_perfect(self, fitted_noiseless):
         com, _, wernicke = fitted_noiseless

