@@ -139,7 +139,7 @@ def cmd_collect(cfg: ExperimentConfig, args) -> str:
     dataset = data.collect(community, cfg.run["n_episodes"], cfg.run["seed"],
                            timestamp=_timestamp(args))
     data.save(dataset, out / ARTIFACTS["dataset"])
-    return f"{len(dataset.records)} records -> {out / ARTIFACTS['dataset']}"
+    return f"{len(dataset)} records -> {out / ARTIFACTS['dataset']}"
 
 
 def cmd_fit_broca(cfg: ExperimentConfig, args) -> str:
@@ -171,10 +171,10 @@ def cmd_detect(cfg: ExperimentConfig, args) -> str:
     community = build_community(cfg.community, cfg.run["seed"])
     dataset = data.collect(community, max(cfg.run["n_episodes"], 30),
                            cfg.run["seed"], timestamp=_timestamp(args))
-    episodes = [
-        ((), rec.trajectory.actions, (rec.message.canonical(),))
-        for rec in dataset.records
-    ]
+    # one episode triple per record body, shared by its episodes
+    triples = [((), tau.actions, (message.canonical(),))
+               for message, tau, *_ in dataset.bodies]
+    episodes = [triples[i] for i in dataset.body_ids]
     signalling = positive_signalling_test(episodes, cfg.distances)
     listening = positive_listening_test(
         community.listeners[0], cfg.game, cfg.game.table.messages[1:],

@@ -3,13 +3,18 @@
 Each record stores the observable pair (message, trajectory) plus the
 harness-only ground-truth intended trajectory. Inference code only ever
 sees the public view, with ground truth stripped.
+
+A dataset stores each distinct record body (all but the seed) once, and
+per episode a body id and a seed, so the work is done once per body.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .community import Community, _rollouts, _sample_messages, _sample_targets
 from .errors import (
@@ -41,20 +46,54 @@ class InteractionRecord:
     listener_id: str
 
 
-@dataclass
 class InteractionDataset:
-    game_fingerprint: str
-    records: list[InteractionRecord]
-    meta: dict
+    """Episodes as tuple columns: `bodies` holds each (message, trajectory,
+    hidden_target, speaker_id, listener_id) once, in order of first
+    appearance; episode i is body `body_ids[i]` with seed `episode_seeds[i]`.
+    Records' bodies are keyed by their objects' identity, so distinct but
+    equal objects (rewards 0.0 and -0.0) keep their own text."""
+
+    def __init__(self, game_fingerprint: str, records, meta: dict):
+        self.game_fingerprint, self.meta = game_fingerprint, meta
+        index: dict[tuple, int] = {}
+        bodies, ids, seeds = [], [], []
+        for r in records:
+            body = (r.message, r.trajectory, r.hidden_target, r.speaker_id,
+                    r.listener_id)
+            ids.append(index.setdefault(tuple(map(id, body)), len(bodies)))
+            if ids[-1] == len(bodies):
+                bodies.append(body)
+            seeds.append(r.episode_seed)
+        self.bodies, self.body_ids = tuple(bodies), tuple(ids)
+        self.episode_seeds = tuple(seeds)
+
+    def __len__(self) -> int:
+        return len(self.body_ids)
+
+    @property
+    def records(self) -> list[InteractionRecord]:
+        """The episodes as records, built on each read."""
+        rows = map(self.bodies.__getitem__, self.body_ids)
+        return [InteractionRecord(m, tau, target, seed, s, j) for
+                (m, tau, target, s, j), seed in zip(rows, self.episode_seeds)]
 
     def public(self) -> "InteractionDataset":
-        """The observer's view: ground-truth intended trajectories and the
-        meta keys `collect` copies from the harness removed."""
-        return InteractionDataset(
-            game_fingerprint=self.game_fingerprint,
-            records=[replace(r, hidden_target=None) for r in self.records],
-            meta={k: v for k, v in self.meta.items() if k not in HARNESS_META},
-        )
+        """The observer's view, sharing the id and seed columns: ground-truth
+        intended trajectories and the meta keys `collect` copies from the
+        harness removed."""
+        return _dataset(self.game_fingerprint, [
+            (m, tau, None, s, j) for m, tau, _, s, j in self.bodies],
+            self.body_ids, self.episode_seeds,
+            {k: v for k, v in self.meta.items() if k not in HARNESS_META})
+
+
+def _dataset(game_fingerprint: str, bodies, body_ids, episode_seeds,
+             meta: dict) -> InteractionDataset:
+    """The dataset of these columns."""
+    dataset = InteractionDataset(game_fingerprint, (), meta)
+    dataset.bodies, dataset.body_ids, dataset.episode_seeds = (
+        tuple(bodies), tuple(body_ids), tuple(episode_seeds))
+    return dataset
 
 
 def collect(community: Community, n_episodes: int, master_seed: int,
@@ -76,25 +115,22 @@ def collect(community: Community, n_episodes: int, master_seed: int,
     listeners = rng.integers(len(community.listeners))
     messages = _sample_messages(community, speakers, targets, rng)
     taus = _rollouts(community, listeners, messages, rng)
-    records = [
-        InteractionRecord(
-            message=table.messages[m],
-            trajectory=table.trajs[tau],
-            hidden_target=table.trajs[target],
-            episode_seed=i,
-            speaker_id=f"speaker{s}",
-            listener_id=f"listener{j}",
-        )
-        for i, (m, tau, target, s, j) in enumerate(zip(
-            messages.tolist(), taus.tolist(), targets.tolist(),
-            speakers.tolist(), listeners.tolist()))
-    ]
+    # one body per distinct id combination, in order of first appearance
+    columns = (messages, taus, targets, speakers, listeners)
+    _, first, inverse = np.unique(np.ravel_multi_index(columns, (
+        len(table.messages), len(table.trajs), len(table.trajs),
+        len(community.speakers), len(community.listeners))),
+        return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    bodies = [(table.messages[m], table.trajs[tau], table.trajs[target],
+               f"speaker{s}", f"listener{j}") for m, tau, target, s, j in
+              zip(*(column[first[order]].tolist() for column in columns))]
     meta = dict(zip(HARNESS_META, (
         community.seed, community.config.epsilon, community.config.temp_msg,
         community.config.temp_target, master_seed)), created=timestamp)
-    return InteractionDataset(
-        game_fingerprint=game_fingerprint(game), records=records, meta=meta,
-    )
+    return _dataset(game_fingerprint(game), bodies,
+                    np.argsort(order)[inverse].tolist(), range(n_episodes),
+                    meta)
 
 
 def _traj_to_json(tau: Trajectory | None):
@@ -144,8 +180,9 @@ def save(dataset: InteractionDataset, path) -> None:
     """JSONL: one header line, then one record per line.
 
     A record line is `_dumps` of its fields. Each distinct trajectory,
-    message and id is dumped once, and a line is built from those texts
-    in sorted-key order, which gives the same bytes.
+    message and id is dumped once, each body's text is built once from
+    those texts in sorted-key order, and a line is `{"episode_seed":N,`
+    plus its body's text, which gives the same bytes.
     """
     header = {
         "format_version": DATASET_FORMAT_VERSION,
@@ -173,14 +210,14 @@ def save(dataset: InteractionDataset, path) -> None:
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dumps(header) + "\n")
+        bodies = [
+            f'"hidden_target":{traj(target)},"listener_id":{value(listener)},'
+            f'"message":{value(message.tokens)},'
+            f'"speaker_id":{value(speaker)},"trajectory":{traj(tau)}}}\n'
+            for message, tau, target, speaker, listener in dataset.bodies]
         fh.writelines(
-            f'{{"episode_seed":{value(rec.episode_seed)},'
-            f'"hidden_target":{traj(rec.hidden_target)},'
-            f'"listener_id":{value(rec.listener_id)},'
-            f'"message":{value(rec.message.tokens)},'
-            f'"speaker_id":{value(rec.speaker_id)},'
-            f'"trajectory":{traj(rec.trajectory)}}}\n'
-            for rec in dataset.records)
+            f'{{"episode_seed":{value(seed)},{bodies[i]}'
+            for i, seed in zip(dataset.body_ids, dataset.episode_seeds))
 
 
 def _check_fields(doc: dict) -> None:
@@ -214,14 +251,16 @@ def _fields(doc: dict, fp: str, game: GameSpec | None) -> tuple:
             doc["speaker_id"], doc["listener_id"])
 
 
-def _seeded(line: str, bodies: dict, fp: str, game: GameSpec | None):
-    """(episode_seed, fields) of a line `{"episode_seed":N,` + body, or None.
+def _seeded(line: str, texts: dict, bodies: list, fp: str,
+            game: GameSpec | None):
+    """(episode_seed, body id) of a line `{"episode_seed":N,` + body, or None.
 
     Such a line is the object `"{" + body` plus its seed, so each distinct
-    body is parsed and checked once and its fields kept in `bodies`. None
-    (the line is then parsed alone) for any other line, for a body whose
-    object holds an `episode_seed` key, and on any error, such as the
-    missing fields of the empty body of `{"episode_seed":1,}`.
+    body is parsed and checked once, its fields appended to `bodies` and
+    its id kept in `texts`. None (the line is then parsed alone) for any
+    other line, for a body whose object holds an `episode_seed` key, and on
+    any error, such as the missing fields of the empty body of
+    `{"episode_seed":1,}`.
     """
     seeded = _SEEDED.match(line)
     if seeded is None:
@@ -229,14 +268,15 @@ def _seeded(line: str, bodies: dict, fp: str, game: GameSpec | None):
     seed, body = seeded.groups()
     try:
         seed = int(seed)
-        fields = bodies.get(body)
-        if fields is None:
+        i = texts.get(body)
+        if i is None:
             doc = json.loads("{" + body)
             if "episode_seed" in doc:  # the line's later key would win
                 return None
             doc["episode_seed"] = seed
-            fields = bodies[body] = _fields(doc, fp, game)
-        return seed, fields
+            bodies.append(_fields(doc, fp, game))
+            i = texts[body] = len(bodies) - 1
+        return seed, i
     except Exception:  # the line's own parse gives the exact result or error
         return None
 
@@ -247,7 +287,7 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
     Given a game, every message must be a message of the game and every
     trajectory one of its table, steps included. Each distinct record body
     (a line after its leading `{"episode_seed":N,`) is parsed and checked
-    once per call, and its records share their message and trajectories.
+    once per call and stored once; each line adds a body id and a seed.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -283,20 +323,19 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
             f"{game_fingerprint(game)}"
         )
 
-    records = []
-    bodies: dict[str, tuple] = {}
+    texts: dict[str, int] = {}
+    bodies, ids, seeds = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
-        seeded = _seeded(line, bodies, fp, game)
+        seeded = _seeded(line, texts, bodies, fp, game)
         if seeded is None:
             try:
                 doc = json.loads(line)
-                fields = _fields(doc, fp, game)
-                seeded = doc["episode_seed"], fields
+                bodies.append(_fields(doc, fp, game))
             # JSONDecodeError is a ValueError; validate_message raises
             # ConfigError
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise DatasetParseError(lineno, str(exc)) from exc
-        seed, (message, trajectory, hidden_target, speaker, listener) = seeded
-        records.append(InteractionRecord(message, trajectory, hidden_target,
-                                         seed, speaker, listener))
-    return InteractionDataset(game_fingerprint=fp, records=records, meta=meta)
+            seeded = doc["episode_seed"], len(bodies) - 1
+        seeds.append(seeded[0])
+        ids.append(seeded[1])
+    return _dataset(fp, bodies, ids, seeds, meta)

@@ -169,21 +169,23 @@ def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
 
 
 def _observed_pairs(dataset, game: GameSpec) -> list[tuple]:
-    """The (message, trajectory) pairs an estimator may see: no record, so
-    no hidden target, reaches it."""
+    """Per record body, the (message, trajectory, episode count) an estimator
+    may see: no hidden target reaches it. Bodies come in order of first
+    appearance, so counts fill a dict in episode order."""
     fp = game_fingerprint(game)
-    if not dataset.records:
+    if not len(dataset):
         raise EmptyDatasetError("cannot fit on an empty dataset")
     if dataset.game_fingerprint != fp:
         raise ForeignGameRecordError(
             f"dataset game {dataset.game_fingerprint} does not match {fp}"
         )
-    for rec in dataset.records:
-        if rec.trajectory.game_fingerprint != fp:
+    for _, tau, *_ in dataset.bodies:
+        if tau.game_fingerprint != fp:
             raise ForeignGameRecordError(
-                f"record trajectory from game {rec.trajectory.game_fingerprint}"
-            )
-    return [(rec.message, rec.trajectory) for rec in dataset.records]
+                f"record trajectory from game {tau.game_fingerprint}")
+    counts = np.bincount(dataset.body_ids, minlength=len(dataset.bodies))
+    return [(message, tau, count) for (message, tau, *_), count in zip(
+        dataset.bodies, counts.tolist())]
 
 
 def fit_broca(dataset, game: GameSpec) -> BrocaModel:
@@ -195,16 +197,16 @@ def fit_broca(dataset, game: GameSpec) -> BrocaModel:
     table: dict[str, dict[str, int]] = {}
     backoff: dict[str, dict[str, int]] = {}
     feats: dict[str, str] = {}
-    for message, tau in _observed_pairs(dataset, game):
+    for message, tau, count in _observed_pairs(dataset, game):
         msg = message.canonical()
         key = tau.canonical_key
         table.setdefault(key, {})
-        table[key][msg] = table[key].get(msg, 0) + 1
+        table[key][msg] = table[key].get(msg, 0) + count
         feat = feats.get(key)
         if feat is None:
             feat = feats[key] = coarse_feature(game, tau)
         backoff.setdefault(feat, {})
-        backoff[feat][msg] = backoff[feat].get(msg, 0) + 1
+        backoff[feat][msg] = backoff[feat].get(msg, 0) + count
     return BrocaModel(game=game, table=table, backoff_table=backoff)
 
 
@@ -275,7 +277,7 @@ def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
     game_table = game.table
     table: dict[str, dict[str, int]] = {}
     labels: dict = {}
-    for message, tau in pairs:
+    for message, tau, count in pairs:
         msg = message.canonical()
         key = tau.actions if cfg.variant == "literal" else msg
         label = labels.get(key)
@@ -283,7 +285,7 @@ def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
             index = _map_index(game_table, message, tau, cfg, listener_model)
             label = labels[key] = game_table.trajs[index].canonical_key
         table.setdefault(msg, {})
-        table[msg][label] = table[msg].get(label, 0) + 1
+        table[msg][label] = table[msg].get(label, 0) + count
     return WernickeModel(game=game, table=table, alpha=cfg.alpha,
                          backoff=backoff)
 

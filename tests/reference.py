@@ -9,6 +9,10 @@ reference for the direct HiGHS call in `cooplang.semantics.linprog`.
 on a numpy Generator, drawing every category with its own
 `Generator.choice`; they are the references for the batch episode
 simulator in `cooplang.community`.
+
+`fit_broca` and `fit_wernicke` count one record at a time, over
+`dataset.records`; they are the references for the estimators, which count
+once per stored record body.
 """
 
 import numpy as np
@@ -17,6 +21,8 @@ from cooplang import enumerate_trajectories, trajectory_distance
 from cooplang.community import _speaker_table, speaker_message_dist
 from cooplang.errors import InvalidActionError, SupportMismatchError
 from cooplang.games import validate_message
+from cooplang.inference import (BrocaModel, WernickeModel, coarse_feature,
+                                map_target)
 from cooplang.semantics import _check_normalized, _check_support_cap, _lift
 
 
@@ -112,3 +118,27 @@ def rollout(game, listener, message, rng):
                 raise InvalidActionError(f"action {a!r} not in {actions}")
         path += (a,)
     return table.trajs[i]
+
+
+def fit_broca(dataset, game):
+    """Per record, one count for its message under its trajectory's key and
+    one under the trajectory's coarse feature."""
+    table, backoff = {}, {}
+    for rec in dataset.records:
+        msg = rec.message.canonical()
+        for hists, key in ((table, rec.trajectory.canonical_key),
+                           (backoff, coarse_feature(game, rec.trajectory))):
+            hist = hists.setdefault(key, {})
+            hist[msg] = hist.get(msg, 0) + 1
+    return BrocaModel(game=game, table=table, backoff_table=backoff)
+
+
+def fit_wernicke(dataset, game, cfg, backoff=0.5, listener_model=None):
+    """Per record, one count for its `map_target` label under its message."""
+    table = {}
+    for rec in dataset.records:
+        hist = table.setdefault(rec.message.canonical(), {})
+        label = map_target(rec, game, cfg, listener_model).canonical_key
+        hist[label] = hist.get(label, 0) + 1
+    return WernickeModel(game=game, table=table, alpha=cfg.alpha,
+                         backoff=backoff)

@@ -256,3 +256,16 @@ def run_pipeline(config: dict, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifact_bytes_are_pinned(name, tmp_path, capsys):
     assert run_pipeline(CONFIGS[name], tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["lewis4-eps0.1", "sm2x2-eps0.1-expected"])
+def test_no_command_builds_records(name, tmp_path, capsys, monkeypatch):
+    """collect, load, the fits and detect work on the stored record bodies:
+    with `records` unreadable the pipeline still writes the pinned bytes."""
+    from cooplang.data import InteractionDataset
+
+    def records(self):
+        raise AssertionError("a command built the per-episode records")
+
+    monkeypatch.setattr(InteractionDataset, "records", property(records))
+    assert run_pipeline(CONFIGS[name], tmp_path) == DIGESTS[name]

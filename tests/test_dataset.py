@@ -1,11 +1,14 @@
+import gc
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cooplang import (
     CommunityConfig,
+    Message,
     build_community,
     collect,
     lewis_game,
@@ -61,8 +64,12 @@ class TestCollect:
     def test_public_view_strips_targets(self, lewis_community):
         dataset = collect(lewis_community, 10, master_seed=0)
         public = dataset.public()
-        assert all(r.hidden_target is None for r in public.records)
         assert all(r.hidden_target is not None for r in dataset.records)
+        # the same episodes in the same order, sharing the id and seed columns
+        assert public.records == [replace(r, hidden_target=None)
+                                  for r in dataset.records]
+        assert public.body_ids is dataset.body_ids
+        assert public.episode_seeds is dataset.episode_seeds
 
     def test_public_view_drops_the_harness_meta(self, lewis_community):
         dataset = collect(lewis_community, 10, master_seed=0, timestamp="t")
@@ -346,11 +353,74 @@ class TestRepeatedBodies:
             assert alone[0].episode_seed == 7  # the later key wins
 
 
+def _first_appearances(ids) -> list:
+    return list(dict.fromkeys(ids))
+
+
+class TestColumns:
+    """A dataset stores its distinct record bodies, and per episode a body
+    id and a seed; `records` is built from those columns."""
+
+    def test_records_round_trip_through_the_columns(self, lewis_community):
+        records = collect(lewis_community, 60, master_seed=2).records
+        # distinct but equal objects beside the table's shared ones
+        for i in (1, 4, 5):
+            r = records[i]
+            records[i] = replace(r, message=Message(tuple(r.message.tokens)),
+                                 trajectory=replace(r.trajectory),
+                                 episode_seed=100 - i)
+        dataset = InteractionDataset("f", records, {})
+        back = dataset.records
+        assert back == records
+        for got, rec in zip(back, records):
+            assert got.message is rec.message
+            assert got.trajectory is rec.trajectory
+            assert got.hidden_target is rec.hidden_target
+        assert len(dataset) == len(records) > len(dataset.bodies)
+        assert _first_appearances(dataset.body_ids) == list(
+            range(len(dataset.bodies)))
+
+    @pytest.mark.parametrize("make", ["collect", "load"])
+    def test_bodies_are_distinct_in_order_of_first_appearance(
+            self, lewis_community, tmp_path, make):
+        dataset = collect(lewis_community, 200, master_seed=4)
+        if make == "load":
+            save(dataset, tmp_path / "d.jsonl")
+            dataset = load(tmp_path / "d.jsonl", game=lewis_community.game)
+        assert len(set(dataset.bodies)) == len(dataset.bodies) < 200
+        assert _first_appearances(dataset.body_ids) == list(
+            range(len(dataset.bodies)))
+        assert dataset.episode_seeds == tuple(range(200))
+
+    def test_shared_columns_cannot_change_in_place(self, lewis_community):
+        public = collect(lewis_community, 10, master_seed=0).public()
+        for column in (public.body_ids, public.episode_seeds, public.bodies):
+            with pytest.raises(TypeError):
+                column[0] = column[-1]
+
+    def test_len_counts_episodes(self, lewis_community, tmp_path):
+        dataset = collect(lewis_community, 37, master_seed=0)
+        save(dataset, tmp_path / "d.jsonl")
+        for d in (dataset, dataset.public(), load(tmp_path / "d.jsonl")):
+            assert len(d) == len(d.records) == 37 > len(d.bodies)
+        assert len(InteractionDataset("f", [], {})) == 0
+
+    def test_a_loaded_dataset_holds_no_object_per_episode(self,
+                                                         lewis_community,
+                                                         tmp_path):
+        path = tmp_path / "d.jsonl"
+        save(collect(lewis_community, 5000, master_seed=1), path)
+        gc.collect()
+        before = len(gc.get_objects())
+        dataset = load(path, game=lewis_community.game)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1000
+        assert len(dataset) == 5000
+
+
 class TestSave:
     def test_lines_are_dumps_of_each_record(self, lewis_community, tmp_path):
         """Texts shared across records give each line json.dumps' bytes."""
-        from dataclasses import replace
-
         from cooplang.data import _dumps, _traj_to_json
 
         path = tmp_path / "d.jsonl"
@@ -364,6 +434,13 @@ class TestSave:
         records[2] = replace(records[2], episode_seed=2**70)
         records[3] = replace(records[3], trajectory=records[0].trajectory,
                              hidden_target=records[0].trajectory)
+        # equal to records[3]'s body, but its zero rewards are -0.0
+        zero = records[3].trajectory
+        negative = replace(zero, steps=tuple(
+            (s, a, -0.0 if r == 0 else r) for s, a, r in zero.steps))
+        assert negative == zero
+        assert "-0.0" in _dumps(_traj_to_json(negative))
+        records[4] = replace(records[3], trajectory=negative, episode_seed=4)
         dataset = InteractionDataset("f", records, {"k": [1, 2.5]})
         save(dataset, path)
         lines = path.read_text(encoding="utf-8").split("\n")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from cooplang.errors import (
 from cooplang.games import game_fingerprint
 from cooplang.inference import coarse_feature
 from cooplang.tables import listener_table
+import reference
 
 
 def record(game, message_tokens, actions):
@@ -386,6 +388,42 @@ def test_fits_read_nothing_the_public_view_drops(lewis3):
     for fit in fits:
         assert json.dumps(fit(dataset.public()).to_json_dict()) == \
             json.dumps(fit(dataset).to_json_dict())
+
+
+def _copied(records):
+    """The records, every third one holding distinct but equal copies of its
+    message and trajectory; the rest share the game table's objects."""
+    return [replace(r, message=Message(tuple(r.message.tokens)),
+                    trajectory=replace(r.trajectory)) if i % 3 == 1 else r
+            for i, r in enumerate(records)]
+
+
+@pytest.mark.parametrize("kind", ["lewis3", "sm_2x2", "sm_3x3"])
+def test_fits_equal_the_per_record_loops(request, kind):
+    """The fits count once per stored body; the references once per record,
+    in episode order, so every count and key order must agree."""
+    game = request.getfixturevalue(kind)
+    com = build_community(CommunityConfig(
+        game=game, epsilon=0.1, codebook_k=8, n_speakers=2, n_listeners=2), 0)
+    dataset = collect(com, 150, master_seed=5)
+    hand = [record(game, m.tokens, tau.actions)
+            for m, tau in zip(game.table.messages[1:9], game.table.trajs)]
+    datasets = [dataset, dataset.public(),
+                dataset_of(game, _copied(dataset.records)),
+                dataset_of(game, [hand[0]] * 3 + hand + hand[2:5] * 2)]
+    model = listener_table(com.listeners[0], game)
+
+    def same(got, want):
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    for d in datasets:
+        same(fit_broca(d, game), reference.fit_broca(d, game))
+        for variant in ("literal", "expected"):
+            for alpha in (1.0, 2.0):
+                cfg = MapConfig(alpha=alpha, variant=variant)
+                same(fit_wernicke(d, game, cfg, listener_model=model),
+                     reference.fit_wernicke(d, game, cfg,
+                                            listener_model=model))
 
 
 def test_fits_do_not_copy_records(lewis_community, monkeypatch):
