@@ -168,9 +168,8 @@ def cmd_fit_wernicke(cfg: ExperimentConfig, args) -> str:
 
 def cmd_detect(cfg: ExperimentConfig, args) -> str:
     out = _out_dir(cfg)
+    dataset = _load_dataset(out, cfg.game)
     community = build_community(cfg.community, cfg.run["seed"])
-    dataset = data.collect(community, max(cfg.run["n_episodes"], 30),
-                           cfg.run["seed"], timestamp=_timestamp(args))
     # one episode triple per record body, shared by its episodes
     triples = [((), tau.actions, (message.canonical(),))
                for message, tau, *_ in dataset.bodies]

@@ -189,13 +189,18 @@ def _speaker_table(
     """The emission space (messages of length 1..L) and S(m*(target), m)
     over it, always under the default DistanceConfig."""
     table = listener_table(speaker.listener_ref, game)
+    return table.game.messages[1:], _emission(table, table.optimal_id(target))
+
+
+def _emission(table, messages) -> np.ndarray:
+    """`emission_distances` under the default DistanceConfig, the speakers'
+    lift, which no setting configures."""
     try:
-        dists = emission_distances(table, target, DistanceConfig())
+        return emission_distances(table, messages, DistanceConfig())
     except SupportMismatchError as exc:  # not the config's to fix
         raise SupportMismatchError(
             f"{str(exc).partition(';')[0]}, and the speakers' lift (wasserstein1) and "
             "cap are fixed: the distances settings configure the detectors") from None
-    return table.game.messages[1:], dists
 
 
 def speaker_message_dist(
@@ -222,29 +227,36 @@ def _sample_targets(community: Community, rng) -> np.ndarray:
 def _sample_messages(community: Community, speaker_ids: np.ndarray,
                      targets: np.ndarray, rng) -> np.ndarray:
     """Per stream, a message drawn from its speaker's distribution for its
-    target (`speaker_message_dist`), as ids into `game.table.messages`; one
-    table read per distinct (speaker, target).
+    target (`speaker_message_dist`), as ids into `game.table.messages`.
+    Per listener the speakers refer to, one read of S gives the rows of
+    every target drawn for them, so its new LPs are one dispatch.
 
     A greedy_msg speaker draws nothing and takes the Boltzmann limit over
     the emission space: the first message (shortest, then lexicographic)
     at minimal semantic distance from the optimal message, which is the
     optimal message itself whenever that message is emittable.
     """
-    speakers, trajs = community.speakers, community.game.table.trajs
+    speakers = community.speakers
     draws = ~np.array([s.greedy_msg for s in speakers])[speaker_ids]
     u = np.zeros(len(rng))
     u[draws] = rng.random(draws)
-    pairs, group = np.unique(speaker_ids * len(trajs) + targets,
-                             return_inverse=True)
+    refs = [s.listener_ref for s in speakers]
     out = np.empty(len(rng), np.int64)
-    for g, pair in enumerate(pairs.tolist()):
-        s, t = divmod(pair, len(trajs))
-        speaker, mine = speakers[s], group == g
-        _, dists = _speaker_table(speaker, community.game, trajs[t])
-        out[mine] = 1 + (
-            np.argmin(dists) if speaker.greedy_msg
-            else _cdf(_boltzmann(-dists, speaker.temp_msg)).searchsorted(
-                u[mine], side="right"))
+    for listener in dict.fromkeys(refs):
+        streams = np.flatnonzero(
+            np.array([r is listener for r in refs])[speaker_ids])
+        drawn, where = np.unique(targets[streams], return_inverse=True)
+        table = listener_table(listener, community.game)
+        block = _emission(table, table.mstar[drawn])
+        pairs, group = np.unique(speaker_ids[streams] * len(drawn) + where,
+                                 return_inverse=True)
+        for g, pair in enumerate(pairs.tolist()):
+            s, t = divmod(pair, len(drawn))
+            speaker, mine = speakers[s], streams[group == g]
+            out[mine] = 1 + (
+                np.argmin(block[t]) if speaker.greedy_msg
+                else _cdf(_boltzmann(-block[t], speaker.temp_msg))
+                .searchsorted(u[mine], side="right"))
     return out
 
 

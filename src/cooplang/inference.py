@@ -54,7 +54,7 @@ def boltzmann_message_likelihood(
     if index == 0:
         raise ConfigError(
             f"message {message.canonical()!r} not in the emission space")
-    weights = np.exp(-emission_distances(table, target, cfg))
+    weights = np.exp(-emission_distances(table, table.optimal_id(target), cfg))
     return float(weights[index - 1] / weights.sum())
 
 

@@ -6,12 +6,13 @@ distances. Distribution distances lift the trajectory metric either by
 exact Wasserstein-1 transport on the finite support or by total
 variation. Semantic distance between two messages is the lifted distance
 between the listener behaviours they induce, read from the semantic
-matrix S over a listener table's rows (`distances`). Each transport LP goes
-straight to the HiGHS binding that `scipy.optimize.linprog` wraps (see
-`linprog`): the same optimum to the bit, at about a third of the cost.
-The LPs of one S are independent, so they are spread over every CPU the
-process may use: the caller solves a share and a process-wide thread pool
-the rest (`_lift_pairs`). There is no option; S has the same bits on any
+matrix S over a listener table's rows (`distances`), filled entry by entry
+as reads touch it. Each transport LP goes straight to the HiGHS binding
+that `scipy.optimize.linprog` wraps (see `linprog`): the same optimum to
+the bit, at about a third of the cost. The LPs of one read of S are
+independent, so they are spread over every CPU the process may use: the
+caller solves a share and a process-wide thread pool the rest
+(`_lift_pairs`). There is no option; S has the same bits on any
 number of CPUs. The gain needs HiGHS's `run` to release the GIL, as it
 does on scipy 1.17.1; on the 1.15 floor that is unverified.
 """
@@ -19,7 +20,6 @@ does on scipy 1.17.1; on the 1.15 floor that is unverified.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -217,32 +217,63 @@ def _lift(pv, qv, cost_of, cfg: DistanceConfig) -> float:
     return max(linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq), 0.0)
 
 
-def distances(table: ListenerTable, a: int, rows, cfg) -> np.ndarray:
-    """S[a, rows]: lifted distances from behaviour row a of a listener
-    table to rows, a row or an array of rows; the table keeps S per lift.
+def distances(table: ListenerTable, a, rows, cfg) -> np.ndarray:
+    """S[a, rows]: lifted distances between behaviour rows of a listener
+    table, a and rows indexing S as numpy broadcasts them; the table keeps
+    S per lift.
 
     The support cap is checked on every call, on the rows read; S holds
-    only values. The Wasserstein-1 LPs of a new S run on every usable CPU
-    (`_lift_pairs`), and S gets the bits one loop over the pairs gives.
+    only values. S starts unknown off its diagonal, and a read fills only
+    the unknown entries it touches (`_fill`), so a read of known entries
+    does no new work. Each entry gets the bits one loop over the pairs
+    gives. A read that fails keeps none of its new entries.
     """
+    a, rows = np.asarray(a), np.asarray(rows)
     if cfg.dist_lift == "wasserstein1" and np.any(rows != a):
-        _check_support_cap(max(table.nnz[a], table.nnz[rows].max()), cfg)
+        _check_support_cap(max(table.nnz[a].max(), table.nnz[rows].max()),
+                           cfg)
     S = table.S.get(cfg.dist_lift)
     if S is None:
         for p in table.P:
             _check_normalized(p.tolist(), "p")
-        S = np.zeros((len(table.P),) * 2)
-        pairs = itertools.combinations(range(len(table.P)), 2)
-        if cfg.dist_lift == "wasserstein1":
-            # W1 between point masses is the distance of their atoms
-            point = np.flatnonzero(table.nnz == 1)
-            atoms = table.P[point].argmax(axis=1)
-            S[np.ix_(point, point)] = table.game.cost(atoms, atoms)
-            pairs = [(b, c) for b, c in pairs
-                     if table.nnz[b] > 1 or table.nnz[c] > 1]
-        _lift_pairs(table, pairs, cfg, S)
-        table.S[cfg.dist_lift] = S  # whole, or not at all
-    return S[a, rows]
+        S = np.full((len(table.P),) * 2, np.nan)  # NaN: not yet lifted
+        np.fill_diagonal(S, 0.0)
+    d = S[a, rows]
+    unknown = np.isnan(d)
+    if unknown.any():
+        b, c = (np.broadcast_to(x, d.shape)[unknown] for x in (a, rows))
+        _fill(table, b, c, cfg, S)
+        d = S[a, rows]
+    table.S[cfg.dist_lift] = S
+    return d
+
+
+def _fill(table: ListenerTable, b, c, cfg, S) -> None:
+    """Fill the unknown entries (b, c) of S and their mirrors, or none.
+
+    Under Wasserstein-1, an entry between point masses is the distance of
+    their atoms, read from one row of D per distinct b. The other entries'
+    pairs are lifted in `combinations` order, in one `_lift_pairs`
+    dispatch; if one fails, its error is raised and every pair's entries
+    are unknown again.
+    """
+    point = np.zeros(len(b), bool)
+    if cfg.dist_lift == "wasserstein1":
+        point = (table.nnz[b] == 1) & (table.nnz[c] == 1)
+    pairs = np.unique(np.minimum(b, c)[~point] * len(S)
+                      + np.maximum(b, c)[~point])
+    low, high = np.divmod(pairs, len(S))
+    try:
+        _lift_pairs(table, list(zip(low.tolist(), high.tolist())), cfg, S)
+    except Exception:
+        S[low, high] = S[high, low] = np.nan
+        raise
+    if point.any():
+        b, c = b[point], c[point]
+        atoms = table.P.argmax(axis=1)
+        firsts, inverse = np.unique(b, return_inverse=True)
+        D = np.array([table.game.row(x) for x in atoms[firsts].tolist()])
+        S[b, c] = S[c, b] = D[inverse, atoms[c]]
 
 
 def _usable_cpus() -> int:
@@ -313,10 +344,12 @@ def _lift_pairs(table: ListenerTable, pairs, cfg, S) -> None:
         raise min(failures)[1]  # pair indices differ; errors never compare
 
 
-def emission_distances(table: ListenerTable, target, cfg) -> np.ndarray:
-    """S(m*(target), m) for every m of the emission space `messages[1:]`."""
-    return distances(table, table.row(table.optimal_message(target)),
-                     table.message_rows[1:], cfg)
+def emission_distances(table: ListenerTable, messages, cfg) -> np.ndarray:
+    """S(m, m') for every m' of the emission space `messages[1:]`, per m of
+    `messages`: an index into the game's `messages` (such as a target's
+    `optimal_id`) gives one row, an array of them a row each."""
+    rows = table.message_rows[np.asarray(messages)]
+    return distances(table, rows[..., None], table.message_rows[1:], cfg)
 
 
 def optimal_message(listener, game: GameSpec, target: Trajectory) -> Message:

@@ -11,8 +11,8 @@ plans (the default plan included); per message, its planned action ids
 (`actions`) and its row of P (`message_rows`); and the optimal message
 per target (`mstar`). It also keeps, per lift, the semantic
 matrix S over its behaviour rows as plain data, which
-`semantics.distances` builds whole on first read. Entries have the bits
-of the dict-based brute force.
+`semantics.distances` fills entry by entry as reads touch them (NaN
+until then). Entries have the bits of the dict-based brute force.
 
 Tables hang off the objects that own their inputs: `GameSpec.table` builds
 a game's on first use, and a listener keeps its ListenerTables, which its
@@ -159,7 +159,8 @@ class ListenerTable:
         # per message of `messages`: its planned action ids and its row of P
         self.actions = plan_actions[message_plan]
         self.message_rows = rows.ravel()[message_plan]
-        self.S: dict[str, np.ndarray] = {}  # lift -> S (semantics.distances)
+        # lift -> S, NaN where not yet read (semantics.distances)
+        self.S: dict[str, np.ndarray] = {}
 
     def row(self, message) -> int:
         """The row of P of a game message; any other is a ConfigError."""
@@ -178,10 +179,15 @@ class ListenerTable:
         return np.where(P == P.max(0), first[:, None],
                         len(self.game.messages)).min(0)
 
-    def optimal_message(self, target: Trajectory):
-        """`mstar`'s message, or the null one for an unenumerated target."""
+    def optimal_id(self, target: Trajectory) -> int:
+        """A target's entry of `mstar`, or 0 (the null message) for an
+        unenumerated target."""
         t = self.game.key_index.get(target.canonical_key)
-        return self.game.messages[0 if t is None else int(self.mstar[t])]
+        return 0 if t is None else int(self.mstar[t])
+
+    def optimal_message(self, target: Trajectory):
+        """The message of `optimal_id`."""
+        return self.game.messages[self.optimal_id(target)]
 
 
 def _plan_actions(game: GameTable, plans, listener) -> np.ndarray:

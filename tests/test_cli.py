@@ -75,10 +75,31 @@ class TestSubcommands:
             assert (out / artifact).exists()
 
     def test_detect_reports_both_detectors(self, config_path, tmp_path):
+        assert run("collect", "--config", config_path, "--canonical") == EXIT_OK
         assert run("detect", "--config", config_path, "--canonical") == EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["positive_signalling"]["detected"] is True
         assert report["positive_listening"]["detected"] is True
+
+    def test_detect_reads_the_collected_dataset(self, config_path, tmp_path,
+                                                monkeypatch):
+        """detect tests the dataset on disk; --n and --seed do not
+        simulate another."""
+        from cooplang import data
+
+        assert run("collect", "--config", config_path, "--n", "40",
+                   "--canonical") == EXIT_OK
+        report = tmp_path / "out" / "report.json"
+        assert run("detect", "--config", config_path, "--canonical") == EXIT_OK
+        first = report.read_bytes()
+
+        def no_collect(*args, **kwargs):
+            raise AssertionError("detect simulated episodes")
+
+        monkeypatch.setattr(data, "collect", no_collect)
+        assert run("detect", "--config", config_path, "--n", "500",
+                   "--canonical") == EXIT_OK
+        assert report.read_bytes() == first
 
     def test_oracle_check_passes(self, config_path, capsys):
         assert run("oracle-check", "--config", config_path) == EXIT_OK
@@ -233,6 +254,22 @@ class TestErrorHandling:
         capsys.readouterr()
         assert run(command, "--config", config_path) == EXIT_CONFIG
         one_line_error(capsys, "configuration error")
+
+    def test_detect_without_a_dataset_is_config_error(self, config_path,
+                                                      capsys):
+        assert run("detect", "--config", config_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("configuration error: cannot read ")
+        assert err.endswith("dataset.jsonl: no such file\n")
+
+    def test_detect_on_too_few_episodes_is_module_error(self, config_path,
+                                                        capsys):
+        assert run("collect", "--config", config_path, "--n", "20",
+                   "--canonical") == EXIT_OK
+        capsys.readouterr()
+        assert run("detect", "--config", config_path) == EXIT_MODULE
+        one_line_error(capsys, "error: need at least 30 episodes, got 20")
 
     def test_record_not_of_the_game_is_module_error(self, config_path,
                                                     tmp_path, capsys):

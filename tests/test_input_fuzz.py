@@ -5,12 +5,14 @@ in a traceback (exit 1)."""
 
 import json
 import tempfile
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cooplang import GameSpec, data, lewis_game
+from cooplang import GameSpec, data, lewis_game, load
 from cooplang.cli import EXIT_CONFIG, EXIT_MODULE, EXIT_OK, main
 from cooplang.errors import (
     ConfigError,
@@ -201,3 +203,118 @@ def test_fuzzed_model_documents_fail_as_config_errors(pipelines, kind, name,
         codes = _run(config, Path(tmp) / "out",
                      {**files, name: json.dumps(doc).encode()}, (command,))
     assert set(codes) <= {EXIT_OK, EXIT_CONFIG, EXIT_MODULE}
+
+
+# --- record bodies that load's memo of bodies must read as each line alone ----
+
+# pieces of field texts: separators, quotes, escapes and non-ASCII
+PIECES = ["}", "{", ",", ":", '"', "\\", " ", "a", "é", "\u2028",
+          ',"listener_id":', ',"message":', ',"speaker_id":',
+          ',"trajectory":', ',"trajectory":{}}', '"}']
+words = st.lists(st.sampled_from(PIECES), max_size=4).map("".join)
+LEWIS = lewis_game(n_candidates=3, vocab=("a", "b"), max_msg_len=2)
+TAUS = [data._traj_to_json(tau) for tau in LEWIS.table.trajs]
+HEADER = data._dumps({"format_version": data.DATASET_FORMAT_VERSION,
+                      "game_fingerprint": LEWIS.fingerprint, "meta": {}})
+
+
+@st.composite
+def trajectories(draw):
+    """A trajectory document: the Lewis game's own, or steps of arbitrary
+    texts whose key matches them."""
+    if draw(st.integers(0, 3)):
+        return draw(st.sampled_from(TAUS))
+    start, actions = draw(words), draw(st.lists(words, max_size=2))
+    steps = [[start if k == 0 else draw(words), action,
+              draw(st.sampled_from([-0.05, 0.0, -0.0, 1.0]))]
+             for k, action in enumerate(actions)]
+    return {"steps": steps, "canonical_key": start + "::" + ",".join(actions)}
+
+
+@st.composite
+def record_lines(draw, bodies):
+    """A record line `{"episode_seed":N,` + body: a body seen before, or one
+    in save's layout, or with its keys reordered or spaced, built from field
+    texts with drawn separators and string escapes. At times one field has
+    a value of the wrong type."""
+    doc = {"hidden_target": draw(st.one_of(st.none(), trajectories())),
+           "listener_id": draw(words),
+           "message": draw(st.lists(st.sampled_from("ab"), min_size=1,
+                                    max_size=2)),
+           "speaker_id": draw(words),
+           "trajectory": draw(trajectories())}
+    if draw(st.integers(0, 7)) == 0:  # a token of the pieces, not the game
+        doc["message"][-1] = draw(words)
+    broken = draw(st.sampled_from([None] * 15 + sorted(doc)))
+    if broken:
+        doc[broken] = draw(st.sampled_from([0, None, "a", [], ["a", 1], {}]))
+    keys = sorted(doc)
+    layout = draw(st.sampled_from(["seen", "save", "save", "spaced",
+                                   "reordered", "repeated"]))
+    if layout == "seen" and bodies:
+        body = draw(st.sampled_from(bodies))
+    else:
+        if layout == "reordered":
+            keys = draw(st.permutations(keys))
+        space = draw(st.sampled_from([" ", "\t"])) if layout == "spaced" \
+            else ""
+        texts = {key: json.dumps(
+            value, ensure_ascii=draw(st.booleans()),
+            separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+            for key, value in doc.items()}
+        items = [(key, texts[key]) for key in keys]
+        if layout == "repeated":  # a key twice: the later value wins
+            k = draw(st.integers(0, len(items) - 1))
+            items.insert(k, (items[k][0], json.dumps(draw(st.sampled_from(
+                [None, "a", ["a"], TAUS[0]])))))
+        body = ",".join(f'"{key}":{space}{text}' for key, text in items) \
+            + space + "}"
+        bodies.append(body)
+    return f'{{"episode_seed":{draw(st.integers(0, 9))},{body}'
+
+
+def _loaded(path, game):
+    """load's records and the bytes save writes of them, or its error as
+    (line number, reason)."""
+    try:
+        dataset = load(path, game=game)
+    except DatasetParseError as exc:
+        return exc.line_number, str(exc)
+    data.save(dataset, path.with_suffix(".saved"))
+    return dataset.records, path.with_suffix(".saved").read_bytes()
+
+
+def _check_loads_as_each_line_alone(path, lines, game):
+    """A file of these record lines loads as the parse of each line alone
+    does, or fails on the same line with the same reason."""
+    path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    got = _loaded(path, game)
+    with mock.patch.object(data, "_seeded", lambda *args: None):
+        assert got == _loaded(path, game)
+
+
+@fuzz
+@given(data_=st.data(), with_game=st.booleans())
+def test_adversarial_bodies_load_as_each_line_alone(data_, with_game):
+    """Memoized or not, a body loads to what a parse of its line alone
+    gives, or fails on the same line with the same reason."""
+    bodies = []
+    lines = [data_.draw(record_lines(bodies)) for _ in range(
+        data_.draw(st.integers(1, 3)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_loads_as_each_line_alone(Path(tmp) / "d.jsonl", lines,
+                                        LEWIS if with_game else None)
+
+
+def test_a_line_of_repeated_separators_fails_fast(tmp_path):
+    """A body of thousands of field separators and no closing brace is one
+    linear failed parse, not a search over ways to cut it."""
+    seps = ',"listener_id":,"message":,"speaker_id":,"trajectory":'
+    line = '{"episode_seed":1,"hidden_target":' + seps * 2000
+    path = tmp_path / "d.jsonl"
+    path.write_text(HEADER + "\n" + line + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(DatasetParseError) as exc:
+        load(path)
+    assert exc.value.line_number == 2
+    assert time.perf_counter() - start < 2.0

@@ -235,7 +235,8 @@ class TestOptimalMessage:
         table = listener_table(codebook_listener, lewis3)
         stranger = enumerate_trajectories(lewis_game(n_candidates=4))[3]
         assert stranger.canonical_key not in table.game.key_index
-        assert emission_distances(table, stranger, DistanceConfig()).tolist() \
+        assert table.optimal_id(stranger) == 0
+        assert emission_distances(table, 0, DistanceConfig()).tolist() \
             == distances(table, table.row(NULL_MESSAGE),
                          table.message_rows[1:], DistanceConfig()).tolist()
 

@@ -2,7 +2,7 @@
 against scipy's `linprog(method="highs")`: the same optimum bit for bit,
 and the same failures as `DistributionError`; and the LPs of one semantic
 matrix spread over the LP thread pool, with the bits and the failure of one
-loop over them."""
+loop over them; and S filled on demand, each pair lifted once."""
 
 import json
 import os
@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from cooplang import semantics
+from cooplang import GameSpec, semantics
 from cooplang.cli import EXIT_OK, main
 from cooplang.errors import DistributionError
 from cooplang.semantics import (
@@ -20,6 +20,7 @@ from cooplang.semantics import (
     _transport_constraints,
     linprog,
 )
+from cooplang.tables import listener_table
 
 from reference import linprog_fun
 from test_artifacts import CONFIGS, PIPELINE, SM_2X2, SM_3X3
@@ -115,6 +116,26 @@ def test_every_pipeline_lp_matches_scipy_bit_for_bit(config, tmp_path,
     assert _differing(list(solved.values())) == []
 
 
+def test_detect_solves_only_the_null_rows_lps(tmp_path, monkeypatch):
+    """The listening test reads one row of S: the null message's behaviour
+    against the 8 codebook rows, one LP each."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIGS["sm2x2-eps0.1"]))
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"),
+            "--canonical"]
+    assert main(["collect", *argv]) == EXIT_OK
+    solves = []
+    real = semantics.linprog
+
+    def counting(c, A_eq, b_eq):
+        solves.append(b_eq.tobytes())
+        return real(c, A_eq=A_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(semantics, "linprog", counting)
+    assert main(["detect", *argv]) == EXIT_OK
+    assert len(solves) == len(set(solves)) == 8
+
+
 class TestFailures:
     @pytest.mark.parametrize("b_eq", [
         [-0.5, 1.5, 0.5],  # negative mass
@@ -170,13 +191,14 @@ def _lp_pairs(table):
 
 
 def _S(listener, game_doc: dict):
-    """A fresh table's Wasserstein-1 S, and the table."""
+    """A fresh table's Wasserstein-1 S, read whole, and the table."""
     from cooplang import GameSpec
     from cooplang.tables import listener_table
 
     listener._dist_cache.clear()
     table = listener_table(listener, GameSpec.from_json_dict(game_doc))
-    semantics.distances(table, 0, np.arange(len(table.P)),
+    rows = np.arange(len(table.P))
+    semantics.distances(table, rows[:, None], rows,
                         semantics.DistanceConfig())
     return table.S["wasserstein1"], table
 
@@ -271,6 +293,77 @@ def test_the_first_failing_pair_raises_and_S_is_not_kept(k, force_workers,
         _S(listener, SM_2X2)
     table = listener._dist_cache[next(iter(listener._dist_cache))]
     assert table.S == {}
+
+
+# --- S filled on demand ------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_read_lifts_only_the_pairs_it_touches(k, force_workers,
+                                                 monkeypatch):
+    listener = _listener(SM_2X2, epsilon=0.1, codebook_k=8)
+    force_workers(1)
+    whole, _ = _S(listener, SM_2X2)
+    lifted = []
+    real = semantics._lift_pairs
+
+    def recording(table, pairs, cfg, S):
+        lifted.append(list(pairs))
+        return real(table, pairs, cfg, S)
+
+    monkeypatch.setattr(semantics, "_lift_pairs", recording)
+    force_workers(k)
+    listener._dist_cache.clear()
+    table = listener_table(listener, GameSpec.from_json_dict(SM_2X2))
+    rows, cfg = np.arange(len(table.P)), semantics.DistanceConfig()
+    row = semantics.distances(table, 4, rows, cfg)
+    assert lifted == [[(b, 4) for b in range(4)]
+                      + [(4, c) for c in range(5, len(rows))]]
+    assert row.tobytes() == whole[4].tobytes()
+    assert np.isnan(table.S["wasserstein1"]).sum() == 2 * (36 - 8)
+
+    semantics.distances(table, 4, rows, cfg)  # all known: nothing lifted
+    assert len(lifted) == 1
+    semantics.distances(table, rows[:, None], rows, cfg)
+    assert lifted[1] == [pair for pair in _lp_pairs(table) if 4 not in pair]
+    assert table.S["wasserstein1"].tobytes() == whole.tobytes()
+
+
+def test_a_failed_read_leaves_its_entries_unknown(force_workers,
+                                                  monkeypatch):
+    listener = _listener(SM_2X2, epsilon=0.1, codebook_k=8)
+    order = []
+    real = semantics.linprog
+
+    def recording(c, A_eq, b_eq):
+        order.append(b_eq.tobytes())
+        return real(c, A_eq=A_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(semantics, "linprog", recording)
+    force_workers(1)
+    whole, _ = _S(listener, SM_2X2)
+    # pairs 20 and 30 of 36, past the 8 pairs of row 0
+    failing = {order[20]: 20, order[30]: 30}
+
+    def failing_lp(c, A_eq, b_eq):
+        index = failing.get(b_eq.tobytes())
+        if index is not None:
+            raise DistributionError(f"pair {index}")
+        return real(c, A_eq=A_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(semantics, "linprog", failing_lp)
+    force_workers(2)
+    listener._dist_cache.clear()
+    table = listener_table(listener, GameSpec.from_json_dict(SM_2X2))
+    rows, cfg = np.arange(len(table.P)), semantics.DistanceConfig()
+    semantics.distances(table, 0, rows, cfg)
+    known = table.S["wasserstein1"].copy()
+    for _ in range(2):  # a retry fails as the first read did
+        with pytest.raises(DistributionError, match="pair 20"):
+            semantics.distances(table, rows[:, None], rows, cfg)
+        assert table.S["wasserstein1"].tobytes() == known.tobytes()
+    monkeypatch.setattr(semantics, "linprog", real)
+    semantics.distances(table, rows[:, None], rows, cfg)
+    assert table.S["wasserstein1"].tobytes() == whole.tobytes()
 
 
 def test_a_command_that_starts_the_pool_exits(tmp_path):
