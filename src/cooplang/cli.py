@@ -37,7 +37,7 @@ from .schema import CONFIG, SECTIONS, check
 from .semantics import (
     DistanceConfig,
     positive_listening_test,
-    positive_signalling_test,
+    positive_signalling_test_by_body,
     trajectory_distance,
 )
 from .tables import listener_table
@@ -170,11 +170,8 @@ def cmd_detect(cfg: ExperimentConfig, args) -> str:
     out = _out_dir(cfg)
     dataset = _load_dataset(out, cfg.game)
     community = build_community(cfg.community, cfg.run["seed"])
-    # one episode triple per record body, shared by its episodes
-    triples = [((), tau.actions, (message.canonical(),))
-               for message, tau, *_ in dataset.bodies]
-    episodes = [triples[i] for i in dataset.body_ids]
-    signalling = positive_signalling_test(episodes, cfg.distances)
+    signalling = positive_signalling_test_by_body(
+        dataset.bodies, dataset.body_ids, cfg.distances)
     listening = positive_listening_test(
         community.listeners[0], cfg.game, cfg.game.table.messages[1:],
         cfg.distances,

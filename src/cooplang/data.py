@@ -5,7 +5,8 @@ harness-only ground-truth intended trajectory. Inference code only ever
 sees the public view, with ground truth stripped.
 
 A dataset stores each distinct record body (all but the seed) once, and
-per episode a body id and a seed, so the work is done once per body.
+per episode a body id and a seed, so the work is done once per body;
+`load` parses each distinct field text of those bodies once.
 """
 
 from __future__ import annotations
@@ -28,9 +29,21 @@ from .rng import PCG64Array
 from .schema import RUN, check
 
 DATASET_FORMAT_VERSION = 1
-# a record line: its seed, a JSON integer >= 0 (`[0-9]`: `\d` also
-# matches digits that JSON rejects), and its body
-_SEEDED = re.compile(r'\{"episode_seed":(0|[1-9][0-9]*),(.*)', re.DOTALL)
+# a record line: its seed, a JSON integer >= 0 of at most 20 digits
+# (`[0-9]`: `\d` also matches digits that JSON rejects; `int` may refuse
+# thousands of them), and its body
+_SEEDED = re.compile(r'\{"episode_seed":(0|[1-9][0-9]{0,19}),(.*)',
+                     re.DOTALL)
+# a record body's keys in save's (sorted) layout, each with its text's kind
+_SAVED = (("hidden_target", "trajectory"), ("listener_id", "id"),
+          ("message", "message"), ("speaker_id", "id"),
+          ("trajectory", "trajectory"))
+# a record body's keys in the order of its fields' tuple
+_BODY = ("message", "trajectory", "hidden_target", "speaker_id",
+         "listener_id")
+# what a record's parse and checks raise: JSONDecodeError is a ValueError,
+# and validate_message raises ConfigError
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, ConfigError)
 # the meta keys `collect` copies from the harness, which `public` drops
 HARNESS_META = ("community_seed", "epsilon", "temp_msg", "temp_target",
                 "master_seed")
@@ -220,65 +233,86 @@ def save(dataset: InteractionDataset, path) -> None:
             for i, seed in zip(dataset.body_ids, dataset.episode_seeds))
 
 
-def _check_fields(doc: dict) -> None:
-    """ValueError unless a record's plain fields have their JSON types."""
-    message, seed = doc["message"], doc["episode_seed"]
-    if type(message) is not list or any(type(t) is not str for t in message):
-        raise ValueError(f"message must be a list of strings, got {message!r}")
-    if type(seed) is not int or seed < 0:  # a bool is not an int here
-        raise ValueError(f"episode_seed must be an integer >= 0, got {seed!r}")
-    for key in ("speaker_id", "listener_id"):
-        if type(doc[key]) is not str:
-            raise ValueError(f"{key} must be a string, got {doc[key]!r}")
-    if type(doc["trajectory"]) is not dict:  # only hidden_target may be null
-        raise ValueError(
-            f"trajectory must be an object, got {doc['trajectory']!r}")
-    hidden = doc.get("hidden_target")
-    if hidden is not None and type(hidden) is not dict:
-        raise ValueError(
-            f"hidden_target must be an object or null, got {hidden!r}")
+def _check(key: str, value) -> None:
+    """ValueError unless a record field's value has its JSON type."""
+    if key == "message":
+        ok, want = type(value) is list and all(
+            type(t) is str for t in value), "a list of strings"
+    elif key == "episode_seed":  # a bool is not an int here
+        ok, want = type(value) is int and value >= 0, "an integer >= 0"
+    elif key == "trajectory":  # only hidden_target may be null
+        ok, want = type(value) is dict, "an object"
+    elif key == "hidden_target":
+        ok, want = value is None or type(value) is dict, "an object or null"
+    else:
+        ok, want = type(value) is str, "a string"
+    if not ok:
+        raise ValueError(f"{key} must be {want}, got {value!r}")
+
+
+def _value(key: str, value, fp: str, game: GameSpec | None):
+    """A checked field's object: a Message of the game, a trajectory, or
+    the id string itself."""
+    if key == "message":
+        message = Message(tuple(value))
+        if game is not None:
+            validate_message(game, message)
+        return message
+    if key in ("trajectory", "hidden_target"):
+        return _traj_from_json(value, fp, game)
+    return value
 
 
 def _fields(doc: dict, fp: str, game: GameSpec | None) -> tuple:
     """A record's checked (message, trajectory, hidden_target, speaker_id,
     listener_id)."""
-    _check_fields(doc)
-    message = Message(tuple(doc["message"]))
-    if game is not None:
-        validate_message(game, message)
-    return (message, _traj_from_json(doc["trajectory"], fp, game),
-            _traj_from_json(doc["hidden_target"], fp, game),
-            doc["speaker_id"], doc["listener_id"])
+    message, seed = doc["message"], doc["episode_seed"]
+    _check("message", message)
+    _check("episode_seed", seed)
+    for key in ("speaker_id", "listener_id", "trajectory"):
+        _check(key, doc[key])
+    _check("hidden_target", doc.get("hidden_target"))
+    return tuple(_value(key, doc[key], fp, game) for key in _BODY)
 
 
-def _seeded(line: str, texts: dict, bodies: list, fp: str,
-            game: GameSpec | None):
-    """(episode_seed, body id) of a line `{"episode_seed":N,` + body, or None.
+def _split_fields(body: str, memo: dict, fp: str,
+                  game: GameSpec | None) -> tuple | None:
+    """The checked fields of a body in save's layout, or None.
 
-    Such a line is the object `"{" + body` plus its seed, so each distinct
-    body is parsed and checked once, its fields appended to `bodies` and
-    its id kept in `texts`. None (the line is then parsed alone) for any
-    other line, for a body whose object holds an `episode_seed` key, and on
-    any error, such as the missing fields of the empty body of
-    `{"episode_seed":1,}`.
+    The body is cut after its `"hidden_target":` prefix at the first
+    `,"<key>":` of each later key in sorted order and before its closing
+    `}`. Each distinct trajectory, message or id text is parsed and checked
+    once per file, in `memo`. A separator inside a field can only be a key
+    of an object in it, so a cut there leaves a text that is not one JSON
+    value, and it fails. None (the line is then parsed alone) for any
+    other body and on any error.
     """
-    seeded = _SEEDED.match(line)
-    if seeded is None:
+    if not (body.startswith('"hidden_target":') and body.endswith("}")):
         return None
-    seed, body = seeded.groups()
+    cuts, start = [], len('"hidden_target":')
+    for key, _ in _SAVED[1:]:
+        sep = f',"{key}":'
+        end = body.find(sep, start)
+        if end < 0:
+            return None
+        cuts.append(body[start:end])
+        start = end + len(sep)
+    cuts.append(body[start:-1])
+    values = {}
     try:
-        seed = int(seed)
-        i = texts.get(body)
-        if i is None:
-            doc = json.loads("{" + body)
-            if "episode_seed" in doc:  # the line's later key would win
-                return None
-            doc["episode_seed"] = seed
-            bodies.append(_fields(doc, fp, game))
-            i = texts[body] = len(bodies) - 1
-        return seed, i
-    except Exception:  # the line's own parse gives the exact result or error
+        for (key, kind), text in zip(_SAVED, cuts):
+            if (kind, text) not in memo:
+                value = json.loads(text)
+                # a trajectory text is checked as one that may be null
+                _check("hidden_target" if kind == "trajectory" else key,
+                       value)
+                memo[kind, text] = _value(key, value, fp, game)
+            values[key] = memo[kind, text]
+    except _PARSE_ERRORS:  # the line's own parse gives the exact outcome
         return None
+    if values["trajectory"] is None:  # only hidden_target may be null
+        return None
+    return tuple(map(values.__getitem__, _BODY))
 
 
 def load(path, game: GameSpec | None = None) -> InteractionDataset:
@@ -286,8 +320,11 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
 
     Given a game, every message must be a message of the game and every
     trajectory one of its table, steps included. Each distinct record body
-    (a line after its leading `{"episode_seed":N,`) is parsed and checked
-    once per call and stored once; each line adds a body id and a seed.
+    (a line after its leading `{"episode_seed":N,`) is stored once; each
+    line adds a body id and a seed. A new body in save's layout is cut
+    into its field texts, and each distinct trajectory, message and id
+    text is parsed and checked once per call. Any other line is parsed
+    alone, which gives its exact `DatasetParseError`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -323,19 +360,28 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
             f"{game_fingerprint(game)}"
         )
 
-    texts: dict[str, int] = {}
+    texts: dict[str, int] = {}  # body text -> body id
+    memo: dict[tuple, object] = {}  # (kind, field text) -> its object
     bodies, ids, seeds = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
-        seeded = _seeded(line, texts, bodies, fp, game)
-        if seeded is None:
-            try:
-                doc = json.loads(line)
-                bodies.append(_fields(doc, fp, game))
-            # JSONDecodeError is a ValueError; validate_message raises
-            # ConfigError
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                raise DatasetParseError(lineno, str(exc)) from exc
-            seeded = doc["episode_seed"], len(bodies) - 1
-        seeds.append(seeded[0])
-        ids.append(seeded[1])
+        seeded = _SEEDED.match(line)
+        if seeded is not None:
+            seed, body = seeded.groups()
+            i = texts.get(body)
+            if i is None:
+                fields = _split_fields(body, memo, fp, game)
+                if fields is not None:
+                    i = texts[body] = len(bodies)
+                    bodies.append(fields)
+            if i is not None:
+                seeds.append(int(seed))
+                ids.append(i)
+                continue
+        try:
+            doc = json.loads(line)
+            bodies.append(_fields(doc, fp, game))
+        except _PARSE_ERRORS as exc:
+            raise DatasetParseError(lineno, str(exc)) from exc
+        seeds.append(doc["episode_seed"])
+        ids.append(len(bodies) - 1)
     return _dataset(fp, bodies, ids, seeds, meta)

@@ -426,12 +426,33 @@ def positive_signalling_test(
     relative 1e-9 of the observed score is decided by its MI, as a single
     shuffle would be.
     """
-    if len(episodes) < 30:
-        raise TooFewEpisodesError(
-            f"need at least 30 episodes, got {len(episodes)}"
-        )
-    x = _encode([(tuple(obs), tuple(act)) for obs, act, _ in episodes])
-    y = _encode([tuple(msg) for _, _, msg in episodes])
+    return _signalling_test(
+        _encode([(tuple(obs), tuple(act)) for obs, act, _ in episodes]),
+        _encode([tuple(msg) for _, _, msg in episodes]), cfg, seed)
+
+
+def positive_signalling_test_by_body(
+    bodies, body_ids, cfg: DistanceConfig, seed: int = 0,
+) -> DetectorReport:
+    """`positive_signalling_test` of a dataset's episodes, episode i being
+    body `body_ids[i]` of its (message, trajectory, ...) `bodies`, with no
+    observations, the trajectory's actions and the message's canonical
+    text. Each body is encoded once and its codes are indexed by
+    `body_ids`; with bodies in order of first appearance, as a dataset
+    keeps them, the codes are those of each episode encoded alone."""
+    ids = np.asarray(body_ids, dtype=np.intp)
+    return _signalling_test(
+        _encode([tau.actions for _, tau, *_ in bodies])[ids],
+        _encode([message.canonical() for message, *_ in bodies])[ids],
+        cfg, seed)
+
+
+def _signalling_test(x: np.ndarray, y: np.ndarray, cfg: DistanceConfig,
+                     seed: int) -> DetectorReport:
+    """The permutation test of the episodes' (observation, action) codes
+    x against their message codes y."""
+    if len(x) < 30:
+        raise TooFewEpisodesError(f"need at least 30 episodes, got {len(x)}")
     stat = _mutual_information(x, y)
 
     n, ny = len(y), y.max() + 1

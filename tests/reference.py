@@ -13,13 +13,20 @@ simulator in `cooplang.community`.
 `fit_broca` and `fit_wernicke` count one record at a time, over
 `dataset.records`; they are the references for the estimators, which count
 once per stored record body.
+
+`load_line_by_line` parses every record line alone; it is the reference
+for `cooplang.data.load`'s memos of record bodies and field texts.
 """
+
+import json
 
 import numpy as np
 
 from cooplang import enumerate_trajectories, trajectory_distance
 from cooplang.community import _speaker_table, speaker_message_dist
-from cooplang.errors import InvalidActionError, SupportMismatchError
+from cooplang.data import _dataset, _fields
+from cooplang.errors import (ConfigError, DatasetParseError,
+                             InvalidActionError, SupportMismatchError)
 from cooplang.games import validate_message
 from cooplang.inference import (BrocaModel, WernickeModel, coarse_feature,
                                 map_target)
@@ -142,3 +149,24 @@ def fit_wernicke(dataset, game, cfg, backoff=0.5, listener_model=None):
         hist[label] = hist.get(label, 0) + 1
     return WernickeModel(game=game, table=table, alpha=cfg.alpha,
                          backoff=backoff)
+
+
+def load_line_by_line(path, game=None):
+    """The dataset of a file whose header is valid and of the game, each
+    record line parsed alone by `json.loads` and checked by `data._fields`,
+    or the first bad line's `DatasetParseError`."""
+    header, *lines = path.read_bytes().decode("utf-8").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    header = json.loads(header)
+    fp = header["game_fingerprint"]
+    bodies, seeds = [], []
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            doc = json.loads(line)
+            bodies.append(_fields(doc, fp, game))
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise DatasetParseError(lineno, str(exc)) from exc
+        seeds.append(doc["episode_seed"])
+    return _dataset(fp, bodies, range(len(bodies)), seeds,
+                    header.get("meta", {}))

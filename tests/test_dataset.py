@@ -15,12 +15,14 @@ from cooplang import (
     load,
     save,
 )
+from cooplang import data
 from cooplang.data import HARNESS_META, InteractionDataset
 from cooplang.errors import (
     ConfigError,
     DatasetParseError,
     FingerprintMismatchError,
 )
+from reference import load_line_by_line
 
 
 class TestCollect:
@@ -286,10 +288,10 @@ class TestLoadAgainstGame:
                 assert tau is table.trajs[table.key_index[tau.canonical_key]]
 
 
-def _outcome(path, game=None):
+def _outcome(path, game=None, loader=load):
     """load's records, or its error as (line number, reason)."""
     try:
-        return load(path, game=game).records
+        return loader(path, game=game).records
     except DatasetParseError as exc:
         return exc.line_number, str(exc).split(": ", 1)[1]
 
@@ -331,8 +333,7 @@ class TestRepeatedBodies:
             "string", "arabic-digit", "5000-digits", "no-body",
             "duplicate-first", "duplicate-last", "duplicate-escaped"])
     def test_odd_line_after_its_body_loads_as_alone(self, lewis_community,
-                                                    tmp_path, monkeypatch,
-                                                    line):
+                                                    tmp_path, line):
         path = tmp_path / "d.jsonl"
         save(collect(lewis_community, 1, master_seed=0), path)
         header, valid = path.read_text().splitlines()
@@ -342,8 +343,7 @@ class TestRepeatedBodies:
         got = _outcome(path, lewis_community.game)
         path.write_text(header + "\n" + line + "\n")
         # the per-line parse alone, every line parsed in full
-        monkeypatch.setattr("cooplang.data._seeded", lambda *args: None)
-        alone = _outcome(path, lewis_community.game)
+        alone = _outcome(path, lewis_community.game, load_line_by_line)
         if isinstance(alone, tuple):
             assert got == (alone[0] + 1, alone[1])
         else:
@@ -351,6 +351,40 @@ class TestRepeatedBodies:
             assert got[0].episode_seed == 0
         if line.count("episode") == 2:
             assert alone[0].episode_seed == 7  # the later key wins
+
+
+class TestFieldTexts:
+    """A new body in save's layout is cut into its field texts, and each
+    distinct trajectory, message and id text is parsed once per file."""
+
+    def test_each_distinct_field_text_is_parsed_once(self, sm_3x3, tmp_path,
+                                                     monkeypatch):
+        # sm-wide's size: 1,000 noiseless episodes, nearly all bodies distinct
+        community = build_community(
+            CommunityConfig(game=sm_3x3, epsilon=0.0, codebook_k=64), 1)
+        path = tmp_path / "d.jsonl"
+        save(collect(community, 1000, master_seed=1), path)
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        taus = {data._dumps(doc[key]) for doc in docs[1:]
+                for key in ("trajectory", "hidden_target")}
+        others = {data._dumps(doc[key]) for doc in docs[1:]
+                  for key in ("message", "speaker_id", "listener_id")}
+        bodies = {data._dumps({**doc, "episode_seed": 0}) for doc in docs[1:]}
+        assert len(bodies) > 900 and len(taus) <= 125
+        parsed, built = [], []
+        loads, traj_from_json = json.loads, data._traj_from_json
+        monkeypatch.setattr(json, "loads", lambda text: loads(
+            parsed.append(text) or text))
+        monkeypatch.setattr(data, "_traj_from_json", lambda doc, *args: (
+            built.append(data._dumps(doc)) or traj_from_json(doc, *args)))
+        for game in (None, sm_3x3):
+            parsed.clear(), built.clear()
+            dataset = load(path, game=game)
+            assert sorted(built) == sorted(taus)
+            # the header, then each distinct field text, never a whole body
+            assert parsed[0] == path.read_text().partition("\n")[0]
+            assert sorted(parsed[1:]) == sorted(taus | others)
+            assert len(dataset) == 1000 and len(dataset.bodies) == len(bodies)
 
 
 def _first_appearances(ids) -> list:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cooplang import (
+    CommunityConfig,
     DistanceConfig,
     ListenerPolicy,
     Message,
     NULL_MESSAGE,
+    build_community,
     enumerate_messages,
     enumerate_trajectories,
     message_distance,
@@ -17,7 +19,8 @@ from cooplang import (
     semantic_distance,
     trajectory_distance,
 )
-from cooplang.semantics import distances, emission_distances
+from cooplang.semantics import (distances, emission_distances,
+                                positive_signalling_test_by_body)
 from cooplang.errors import (
     ConfigError,
     DistributionError,
@@ -369,6 +372,30 @@ class TestPositiveSignalling:
         a = positive_signalling_test(episodes, cfg, seed=3)
         b = positive_signalling_test(episodes, cfg, seed=3)
         assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_by_body_is_the_test_of_each_episode(self, lewis_community,
+                                                 sm_2x2, n):
+        """Each body encoded once gives the bits of each episode encoded
+        alone, on the collected and the public view."""
+        from cooplang import collect
+        cfg = DistanceConfig(permutations=300)
+        for community in (lewis_community, build_community(
+                CommunityConfig(game=sm_2x2, codebook_k=8), 1)):
+            dataset = collect(community, n, master_seed=4)
+            assert len(dataset.bodies) < n
+            for view in (dataset, dataset.public()):
+                got = positive_signalling_test_by_body(
+                    view.bodies, view.body_ids, cfg, seed=2)
+                assert got == positive_signalling_test(
+                    _episodes_from_dataset(view), cfg, seed=2)
+
+    def test_by_body_counts_episodes_not_bodies(self, lewis_community):
+        from cooplang import collect
+        dataset = collect(lewis_community, 29, master_seed=0)
+        with pytest.raises(TooFewEpisodesError, match="got 29"):
+            positive_signalling_test_by_body(
+                dataset.bodies, dataset.body_ids, DistanceConfig())
 
     @pytest.mark.parametrize("seed", [-1, "x", 1.5, True])
     def test_a_bad_seed_is_a_config_error(self, seed):
