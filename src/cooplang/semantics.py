@@ -8,10 +8,12 @@ variation. Semantic distance between two messages is the lifted distance
 between the listener behaviours they induce, read from the semantic
 matrix S over a listener table's rows (`distances`), filled entry by entry
 as reads touch it. Each transport LP goes straight to the HiGHS binding
-that `scipy.optimize.linprog` wraps (see `linprog`): the same optimum to
-the bit, at about a third of the cost. The LPs of one read of S are
-independent, so they are spread over every CPU the process may use: the
-caller solves a share and a process-wide thread pool the rest
+that `scipy.optimize.linprog` wraps (see `linprog`), its model passed as
+arrays through the binding's array overload of `passModel`, to one solver
+per thread that keeps the last model of its thread: the same optimum to
+the bit, at under a third of the cost. The LPs of one read of S are
+independent, so they are spread over every CPU the process may use:
+the caller solves a share and a process-wide thread pool the rest
 (`_lift_pairs`). There is no option; S has the same bits on any
 number of CPUs. The gain needs HiGHS's `run` to release the GIL, as it
 does on scipy 1.17.1; on the 1.15 floor that is unverified.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,35 +127,54 @@ def _highs_options():
     return options
 
 
+_solvers = threading.local()  # each thread's HiGHS solver, as `highs`
+
+
+def _solver():
+    """This thread's HiGHS solver, built with `_highs_options` on the
+    thread's first LP and kept for its later ones."""
+    solver = getattr(_solvers, "highs", None)
+    if solver is None:
+        from scipy.optimize._highspy import _core as highs
+
+        solver = _solvers.highs = highs._Highs()
+        solver.passOptions(_highs_options())
+    return solver
+
+
 def linprog(c, A_eq, b_eq) -> float:
     """The minimum of c @ x subject to A_eq @ x = b_eq and x >= 0.
 
     The LP goes straight to the HiGHS binding that scipy's
     `linprog(method="highs")` wraps, with the same model and options, so
-    the optimum keeps scipy's bits at about a third of the cost: scipy's
-    input cleaning, option checks, dual bookkeeping and result object are
-    skipped. scipy is imported on the first call, since importing it takes
-    about 0.6 s and a run that solves no LP never pays for it. A status
-    other than optimal, or a solution that scipy's feasibility check
-    would reject, raises `DistributionError`.
+    the optimum keeps scipy's bits: scipy's input cleaning, option checks,
+    dual bookkeeping and result object are skipped. The model goes in as
+    arrays, through the array overload of `passModel`, so no `HighsLp` is
+    filled attribute by attribute; and each thread solves on one solver of
+    its own (`_solver`), whose options are passed once. `passModel`
+    replaces the solver's model, basis and solution, so an LP's optimum
+    does not depend on the LPs solved before it. Between LPs the solver
+    keeps the last model of its thread and HiGHS's working memory, which
+    stays at the size of the largest LP the thread has solved: about
+    0.6 MB after a 25x25 transport LP, 11 MB after a 125x125 one. scipy
+    is imported on the first call, since importing it takes about 0.6 s
+    and a run that solves no LP never pays for it. A status other than
+    optimal, or a solution that scipy's feasibility check would reject,
+    raises `DistributionError`.
     """
     from scipy.optimize._highspy import _core as highs
 
     a = A_eq.tocsc()  # the matrix itself when it is CSC already
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
-    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(a.shape[1])
-    lp.col_upper_ = np.full(a.shape[1], highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    solver = highs._Highs()
-    solver.passOptions(_highs_options())
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    num_row, num_col = a.shape
+    solver = _solver()
+    if solver.passModel(
+            num_col, num_row, a.nnz, highs.MatrixFormat.kColwise,
+            highs.ObjSense.kMinimize, 0.0,
+            c, np.zeros(num_col), np.full(num_col, highs.kHighsInf),
+            b_eq, b_eq,
+            a.indptr.astype(np.int32, copy=False),
+            a.indices.astype(np.int32, copy=False), a.data,
+            np.zeros(num_col, np.int32)) == highs.HighsStatus.kError:
         raise DistributionError(
             "transport LP failed: HiGHS rejected the model")
     solver.run()
@@ -293,9 +315,16 @@ def _pool():
                               thread_name_prefix="cooplang-lp")
 
 
+def _after_fork_in_child() -> None:
+    """A forked child has none of the pool's threads, so it starts its own;
+    and it builds a solver of its own, so no LP runs on the copy of its
+    parent's solver that fork made."""
+    _pool.cache_clear()
+    _solvers.__dict__.clear()
+
+
 if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads, so it starts its own
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _lift_chunk(table: ListenerTable, chunk, cfg, S):

@@ -1,6 +1,7 @@
 """`semantics.linprog`, the transport LP solved straight through HiGHS,
 against scipy's `linprog(method="highs")`: the same optimum bit for bit,
-and the same failures as `DistributionError`; and the LPs of one semantic
+and the same failures as `DistributionError`, on one reused solver per
+thread; and the LPs of one semantic
 matrix spread over the LP thread pool, with the bits and the failure of one
 loop over them; and S filled on demand, each pair lifted once."""
 
@@ -26,6 +27,11 @@ from reference import linprog_fun
 from test_artifacts import CONFIGS, PIPELINE, SM_2X2, SM_3X3
 
 RANDOM_LPS = 2000
+# b_eq of two infeasible 2x2 transport LPs
+INFEASIBLE_B_EQ = [
+    [-0.5, 1.5, 0.5],  # negative mass
+    [0.5, 0.5, 2.0],   # p and q of unequal mass
+]
 
 # the benchmark's sm-noisy workload at seed 1
 SM_NOISY = {
@@ -137,10 +143,7 @@ def test_detect_solves_only_the_null_rows_lps(tmp_path, monkeypatch):
 
 
 class TestFailures:
-    @pytest.mark.parametrize("b_eq", [
-        [-0.5, 1.5, 0.5],  # negative mass
-        [0.5, 0.5, 2.0],   # p and q of unequal mass
-    ])
+    @pytest.mark.parametrize("b_eq", INFEASIBLE_B_EQ)
     def test_an_infeasible_lp_raises(self, b_eq):
         a = _transport_constraints(2, 2)
         with pytest.raises(DistributionError, match="Infeasible"):
@@ -412,6 +415,93 @@ if pid == 0:
     signal.alarm(60)  # a child that hangs ends
     os._exit(0 if S() == want else 1)
 assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+"""
+    result = subprocess.run([sys.executable, "-c", code], timeout=120)
+    assert result.returncode == 0
+
+
+# --- one reused solver per thread --------------------------------------------
+
+def _solve_between_failures(lps) -> list:
+    """The optimum of each LP in order, as hex, with both infeasible LPs
+    solved after each one; each of those must raise, and every LP runs on
+    the thread's one solver."""
+    solver = semantics._solver()
+    a = _transport_constraints(2, 2)
+    optima = []
+    for c, a_eq, b_eq in lps:
+        optima.append(float(linprog(c, A_eq=a_eq, b_eq=b_eq)).hex())
+        for bad in INFEASIBLE_B_EQ:
+            with pytest.raises(DistributionError, match="Infeasible"):
+                linprog(np.ones(4), A_eq=a, b_eq=np.array(bad))
+    assert semantics._solver() is solver
+    return optima
+
+
+def test_a_reused_solver_keeps_scipys_bits_after_failures():
+    lps = list(_random_lps(13, 400))
+    want = [float(linprog_fun(c, a, b)).hex() for c, a, b in lps]
+    assert _solve_between_failures(lps) == want
+    pooled = semantics._pool().submit(_solve_between_failures, lps)
+    assert pooled.result(timeout=300) == want
+
+
+def test_each_thread_builds_one_solver(force_workers, monkeypatch):
+    import threading
+
+    from scipy.optimize._highspy import _core
+
+    builders = []
+    real = _core._Highs
+
+    def counting():
+        builders.append(threading.current_thread())
+        return real()
+
+    monkeypatch.setattr(_core, "_Highs", counting)
+    monkeypatch.setattr(semantics, "_solvers", threading.local())  # none yet
+    listener = _listener(SM_NOISY["game"], **SM_NOISY["community"])
+    force_workers(3)
+    _, table = _S(listener, SM_NOISY["game"])
+    assert len(_lp_pairs(table)) == 36
+    assert threading.current_thread() in builders
+    assert len(set(builders)) == len(builders)
+    assert all(thread is threading.current_thread()
+               or thread.name.startswith("cooplang-lp")
+               for thread in builders)
+    built = list(builders)
+    _S(listener, SM_NOISY["game"])  # fresh tables: the same solvers
+    assert builders == built
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_its_own_solver():
+    """A child forked after its parent solved an LP solves on a solver it
+    builds, with the parent's bits."""
+    import subprocess
+    import sys
+
+    code = """
+import os, signal, numpy as np
+from scipy.optimize._highspy import _core
+from cooplang.semantics import _transport_constraints, linprog
+builds = []
+real = _core._Highs
+_core._Highs = lambda: builds.append(1) or real()
+
+def solve():
+    return float(linprog(np.array([0.0, 1.0, 1.0, 0.0]),
+                         A_eq=_transport_constraints(2, 2),
+                         b_eq=np.array([0.3, 0.7, 0.6]))).hex()
+
+want = solve()
+assert len(builds) == 1
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child that hangs ends
+    os._exit(0 if solve() == want and len(builds) == 2 else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+assert solve() == want and len(builds) == 1
 """
     result = subprocess.run([sys.executable, "-c", code], timeout=120)
     assert result.returncode == 0
