@@ -1,8 +1,10 @@
 """Command-line front door for reproducible experiment runs.
 
-Every subcommand reads a JSON experiment config (--config, or the
+Every command reads a JSON experiment config (--config, or the
 COOPLANG_CONFIG environment variable) plus a few overrides, writes its
 artifact under --out with a fixed name, and prints a one-line summary.
+One flat parser serves every command, so the options may come before or
+after the command name.
 
 Exit codes: 0 success, 2 usage error, 3 configuration error, 4 module
 error during execution.
@@ -252,6 +254,8 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the command is a positional beside
+    the options that every command shares."""
     parser = argparse.ArgumentParser(
         prog="cooplang",
         description="Referential-game communities and cooperative language "
@@ -259,21 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 success, 2 usage error, 3 configuration error, "
                "4 module error.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} step")
-        p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
-                       help="experiment config JSON (or $COOPLANG_CONFIG)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the run seed")
-        p.add_argument("--n", type=int, default=None,
-                       help="override the episode count")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="override the inference alpha")
-        p.add_argument("--out", default=None,
-                       help="override the output directory")
-        p.add_argument("--canonical", action="store_true",
-                       help="omit timestamps for byte-identical outputs")
+    parser.add_argument("command", choices=COMMANDS,
+                        help="the pipeline step to run")
+    parser.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
+                        help="experiment config JSON (or $COOPLANG_CONFIG)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the run seed")
+    parser.add_argument("--n", type=int, default=None,
+                        help="override the episode count")
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="override the inference alpha")
+    parser.add_argument("--out", default=None,
+                        help="override the output directory")
+    parser.add_argument("--canonical", action="store_true",
+                        help="omit timestamps for byte-identical outputs")
     return parser
 
 

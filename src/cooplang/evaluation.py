@@ -148,14 +148,16 @@ def eval_listener(wernicke: WernickeModel, community: Community, n: int,
                         .canonical_key] for m in distinct.tolist()])
     estimates = {"model": decoded[where], "literal": observed}
 
-    # estimates and targets are table trajectories: read D and V
+    # estimates and targets are table trajectories: read V, and D in one
+    # request for both arms
+    rows, row = np.unique(np.stack(list(estimates.values())),
+                          return_inverse=True)
+    dists = table.rows(rows)[row.reshape(len(estimates), n), targets]
     metrics = {}
-    for arm, est in estimates.items():
-        rows, row = np.unique(est, return_inverse=True)
-        D = np.array([table.row(e) for e in rows.tolist()])
+    for (arm, est), dist in zip(estimates.items(), dists):
         metrics[arm] = {
             "recovery_rate": int(np.count_nonzero(est == targets)) / n,
-            "mean_distance": _ordered_sum(D[row, targets]) / n,
+            "mean_distance": _ordered_sum(dist) / n,
             "mean_target_value": _ordered_sum(table.values[est]) / n,
         }
     model = metrics["model"]

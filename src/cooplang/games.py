@@ -352,6 +352,11 @@ def final_state(game: GameSpec, tau: Trajectory):
 def trajectory_return(tau: Trajectory, gamma: float) -> float:
     """Discounted sum of rewards along a trajectory."""
     check("game", GAME, {"gamma": gamma})
+    return discounted_return(tau, gamma)
+
+
+def discounted_return(tau: Trajectory, gamma: float) -> float:
+    """`trajectory_return` of a gamma already checked, as a game's is."""
     total = 0.0
     weight = 1.0
     for _, _, r in tau.steps:

@@ -18,6 +18,7 @@ import numpy as np
 from .community import ListenerPolicy
 from .errors import (
     ConfigError,
+    DomainMismatchError,
     EmptyDatasetError,
     FingerprintMismatchError,
     ForeignGameRecordError,
@@ -85,10 +86,14 @@ def _map_index(table: GameTable, message: Message, trajectory: Trajectory,
         dist = table.column(trajectory)
     else:
         validate_message(table.game, message)
+        if listener_model.game.game.fingerprint != table.game.fingerprint:
+            raise DomainMismatchError("trajectories belong to different games")
         p = listener_model.P[listener_model.row(message)]
+        support = np.flatnonzero(p)
         dist = np.zeros(len(p))
-        for j in np.flatnonzero(p):  # term by term, in trajectory order
-            dist = dist + p[j] * table.column(listener_model.game.trajs[j])
+        # term by term, in trajectory order
+        for j, row in zip(support.tolist(), table.rows(support)):
+            dist = dist + p[j] * row
     scores = table.values - cfg.alpha * dist
     best = np.flatnonzero(scores == scores.max())
     best = best[table.values[best] == table.values[best].max()]
@@ -275,6 +280,10 @@ def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
     pairs = _observed_pairs(dataset, game)
     _require_listener_model(cfg, listener_model)
     game_table = game.table
+    if cfg.variant == "literal":  # every observed row of D in one request
+        game_table.rows([i for i in dict.fromkeys(
+            game_table.index.get(tau.actions) for _, tau, _ in pairs)
+            if i is not None])
     table: dict[str, dict[str, int]] = {}
     labels: dict = {}
     for message, tau, count in pairs:

@@ -274,10 +274,10 @@ def _fill(table: ListenerTable, b, c, cfg, S) -> None:
     """Fill the unknown entries (b, c) of S and their mirrors, or none.
 
     Under Wasserstein-1, an entry between point masses is the distance of
-    their atoms, read from one row of D per distinct b. The other entries'
-    pairs are lifted in `combinations` order, in one `_lift_pairs`
-    dispatch; if one fails, its error is raised and every pair's entries
-    are unknown again.
+    their atoms, read from the rows of D of the distinct b, all asked for
+    in one request. The other entries' pairs are lifted in `combinations`
+    order, in one `_lift_pairs` dispatch; if one fails, its error is raised
+    and every pair's entries are unknown again.
     """
     point = np.zeros(len(b), bool)
     if cfg.dist_lift == "wasserstein1":
@@ -294,7 +294,7 @@ def _fill(table: ListenerTable, b, c, cfg, S) -> None:
         b, c = b[point], c[point]
         atoms = table.P.argmax(axis=1)
         firsts, inverse = np.unique(b, return_inverse=True)
-        D = np.array([table.game.row(x) for x in atoms[firsts].tolist()])
+        D = table.game.rows(atoms[firsts])
         S[b, c] = S[c, b] = D[inverse, atoms[c]]
 
 
@@ -362,8 +362,7 @@ def _lift_pairs(table: ListenerTable, pairs, cfg, S) -> None:
     futures = []
     if workers > 1:
         _highs_options()
-        for atom in np.flatnonzero(table.P[np.unique(pairs)].any(axis=0)):
-            table.game.row(atom)
+        table.game.rows(np.flatnonzero(table.P[np.unique(pairs)].any(axis=0)))
         futures = [_pool().submit(_lift_chunk, table, indexed[i::workers],
                                   cfg, S) for i in range(1, workers)]
     failures = [_lift_chunk(table, indexed[::workers], cfg, S)]

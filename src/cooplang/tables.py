@@ -2,8 +2,9 @@
 
 A GameTable numbers the enumerated trajectories of a game in canonical-key
 order and holds their returns V, a padded action-id matrix, the edit
-distance matrix D, a row at a time on first use, each row one vectorized
-Wagner-Fischer pass over the action-id matrix, the game's messages, and a
+distance matrix D, rows in bounded blocks on first use, each block one
+vectorized Wagner-Fischer pass over the action-id matrix for many queries
+at once (`rows`), the game's messages, and a
 prefix trie of the trajectories that `walk` rolls out many episodes down
 at once. A ListenerTable adds one listener's behaviour, indexed by the
 game's message ids: a matrix P with one row per distinct behaviour of its
@@ -29,10 +30,13 @@ from .errors import ConfigError, DomainMismatchError, InvalidActionError
 from .games import (
     GameSpec,
     Trajectory,
+    discounted_return,
     enumerate_messages,
     enumerate_trajectories,
-    trajectory_return,
 )
+
+# cells of the largest Wagner-Fischer table block `GameTable._edit_rows` makes
+EDIT_BLOCK_ELEMENTS = 2 ** 15
 
 
 class GameTable:
@@ -46,7 +50,8 @@ class GameTable:
         self.trajs = enumerate_trajectories(game)
         self.index = {t.actions: i for i, t in enumerate(self.trajs)}
         self.key_index = {t.canonical_key: i for i, t in enumerate(self.trajs)}
-        self.values = np.array([trajectory_return(t, game.gamma)
+        # GameSpec.validate has checked gamma
+        self.values = np.array([discounted_return(t, game.gamma)
                                 for t in self.trajs])
         self.env_actions = game.env_actions
         self._action_id = {a: k for k, a in enumerate(self.env_actions)}
@@ -104,31 +109,56 @@ class GameTable:
             node[live] = child[node[live], action[live]]
         return leaf[node]
 
-    def _edit_row(self, a) -> np.ndarray:
-        """Normalized edit distances from action ids a to every trajectory,
-        by one Wagner-Fischer table per trajectory, all advanced together;
-        insertions are a running minimum: c + min over c' <= c of best - c'."""
-        cols = np.arange(self.ids.shape[1] + 1)
-        prev = np.broadcast_to(cols, (len(self.trajs), len(cols)))
-        for i, x in enumerate(a, start=1):
-            best = np.empty_like(prev)
-            best[:, 0] = i
-            np.minimum(prev[:, :-1] + (self.ids != x), prev[:, 1:] + 1,
-                       out=best[:, 1:])
-            prev = np.minimum.accumulate(best - cols, axis=1) + cols
-        edits = prev[np.arange(len(self.trajs)), self.lengths]
-        return edits / np.maximum(np.maximum(self.lengths, len(a)), 1)
+    def _edit_rows(self, queries: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Normalized edit distances from each query, the action ids
+        queries[q, :n[q]], to every trajectory, in blocks of at most
+        EDIT_BLOCK_ELEMENTS table cells."""
+        size = max(EDIT_BLOCK_ELEMENTS // (self.ids.size + len(self.trajs)), 1)
+        out = np.empty((len(queries), len(self.trajs)))
+        for s in range(0, len(queries), size):
+            out[s:s + size] = self._edit_block(queries[s:s + size],
+                                               n[s:s + size])
+        return out
+
+    def _edit_block(self, queries: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """`_edit_rows` of one block: one Wagner-Fischer table per (query,
+        trajectory) pair, all advanced together, a query's edit counts read
+        at its last action. Insertions are a running minimum:
+        c + min over c' <= c of best - c'."""
+        ts = np.arange(len(self.trajs))
+        dtype = np.int16 if max(self.ids.shape[1], n.max()) < 2 ** 14 else int
+        cols = np.arange(self.ids.shape[1] + 1, dtype=dtype)
+        prev = np.broadcast_to(cols, (len(queries), len(ts), len(cols)))
+        edits = prev[:, ts, self.lengths]  # from the empty prefix
+        for i in range(1, n.max() + 1):
+            best = np.empty(prev.shape, dtype)
+            best[..., 0] = i
+            np.minimum(prev[..., :-1]
+                       + (self.ids != queries[:, i - 1, None, None]),
+                       prev[..., 1:] + 1, out=best[..., 1:])
+            prev = np.minimum.accumulate(best - cols, axis=2) + cols
+            ends = np.flatnonzero(n == i)
+            edits[ends] = prev[ends[:, None], ts, self.lengths]
+        return edits / np.maximum(np.maximum(self.lengths, n[:, None]), 1)
+
+    def rows(self, idx) -> np.ndarray:
+        """D[idx, :]; the rows not yet known are computed in one
+        `_edit_rows` call and kept. D is symmetric."""
+        idx = np.asarray(idx, dtype=np.int64).tolist()
+        missing = list(dict.fromkeys(i for i in idx if i not in self._rows))
+        if missing:
+            self._rows.update(zip(missing, self._edit_rows(
+                self.ids[missing], self.lengths[missing])))
+        return np.array([self._rows[i] for i in idx]).reshape(
+            len(idx), len(self.trajs))
 
     def row(self, i: int) -> np.ndarray:
-        """D[i, :], computed on first use; D is symmetric."""
-        r = self._rows.get(i)
-        if r is None:
-            r = self._rows[i] = self._edit_row(self.ids[i, :self.lengths[i]])
-        return r
+        """D[i, :]."""
+        return self.rows([i])[0]
 
     def cost(self, p_idx, q_idx) -> np.ndarray:
         """The transport cost submatrix D[p_idx][:, q_idx]."""
-        return np.array([self.row(i)[q_idx] for i in p_idx])
+        return self.rows(p_idx)[:, q_idx]
 
     def column(self, tau: Trajectory) -> np.ndarray:
         """Distances from every trajectory to tau, which need not be enumerated."""
@@ -138,7 +168,8 @@ class GameTable:
         if i is not None:
             return self.row(i)
         # -1 matches no action of an enumerated trajectory
-        return self._edit_row([self._action_id.get(a, -1) for a in tau.actions])
+        a = [self._action_id.get(a, -1) for a in tau.actions]
+        return self._edit_rows(np.array([a], np.int64), np.array([len(a)]))[0]
 
 
 class ListenerTable:

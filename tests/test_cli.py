@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from cooplang import lewis_game, supermarket_game
-from cooplang.cli import EXIT_CONFIG, EXIT_MODULE, EXIT_OK, main
+from cooplang.cli import EXIT_CONFIG, EXIT_MODULE, EXIT_OK, EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -332,6 +332,51 @@ class TestErrorHandling:
         for flag in ("--config", "--seed", "--n", "--alpha", "--out",
                      "--canonical"):
             assert flag in text
+
+
+class TestParser:
+    """One flat parser: the command is a positional and every option is
+    shared, so options may come before the command."""
+
+    def test_help_lists_every_command(self, capsys):
+        from cooplang.cli import COMMANDS
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for command in COMMANDS:
+            assert command in text
+
+    def test_a_command_has_the_one_help_page(self, capsys):
+        pages = []
+        for argv in (["--help"], ["collect", "--help"], ["detect", "-h"]):
+            with pytest.raises(SystemExit):
+                run(*argv)
+            pages.append(capsys.readouterr().out)
+        assert pages[0] == pages[1] == pages[2]
+
+    def test_options_may_come_before_the_command(self, config_path, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out" / "dataset.jsonl"
+        assert run("--config", config_path, "collect") == EXIT_OK
+        assert out.exists()
+        before = out.read_bytes()
+        assert run("--canonical", "--n", "50", "--config", config_path,
+                   "collect") == EXIT_OK
+        first = out.read_bytes()
+        assert run("collect", "--config", config_path, "--n", "50",
+                   "--canonical") == EXIT_OK
+        assert out.read_bytes() == first != before
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"], ["--canonical", "frobnicate"], [],
+        ["collect", "extra"], ["collect", "--frobnicate"],
+        ["collect", "--seed", "x"]])
+    def test_a_bad_command_line_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage: cooplang")
 
 
 SUPERMARKET = supermarket_game(

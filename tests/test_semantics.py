@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cooplang import (
     CommunityConfig,
     DistanceConfig,
+    GameSpec,
     ListenerPolicy,
     Message,
     NULL_MESSAGE,
@@ -28,7 +30,9 @@ from cooplang.errors import (
     SupportMismatchError,
     TooFewEpisodesError,
 )
+from cooplang.tables import EDIT_BLOCK_ELEMENTS
 from reference import behaviour, distribution_distance
+from test_artifacts import CONFIGS
 
 
 def point_mass(trajs, index):
@@ -429,6 +433,35 @@ def noisy_game(request, sm_2x2, sm_3x3):
     return game, com
 
 
+# a config name per distinct game of the pinned pipelines
+_PINNED_GAMES = {json.dumps(c["game"], sort_keys=True): name
+                 for name, c in CONFIGS.items()}
+
+
+def _horizon_4():
+    """A 3x3 supermarket of horizon 4 whose one item is two steps from
+    the start, so its trajectories end after 2, 3 or 4 steps."""
+    from cooplang import supermarket_game
+    return supermarket_game(3, 3, {"milk": (0, 1)}, ["milk"], (0, 0), 4,
+                            tuple("ab"))
+
+
+def _count_blocks(monkeypatch) -> list:
+    """Per call of the Wagner-Fischer kernel from now on, the indices of
+    the rows of D it computes."""
+    from cooplang.tables import GameTable
+    blocks = []
+    real = GameTable._edit_block
+
+    def counting(self, queries, n):
+        blocks.append([self.index[tuple(self.env_actions[a] for a in q[:k])]
+                       for q, k in zip(queries.tolist(), n.tolist())])
+        return real(self, queries, n)
+
+    monkeypatch.setattr(GameTable, "_edit_block", counting)
+    return blocks
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -462,6 +495,94 @@ class TestTables:
             assert tau.actions not in table.index
             want = [trajectory_distance(u, tau) for u in table.trajs]
             assert (_bits(table.column(tau)) == _bits(want)).all()
+
+    @pytest.mark.parametrize("name",
+                             [*sorted(_PINNED_GAMES.values()), "horizon-4"])
+    def test_rows_in_one_request_are_trajectory_distance(self, name):
+        game = (_horizon_4() if name == "horizon-4"
+                else GameSpec.from_json_dict(CONFIGS[name]["game"]))
+        table = game.table  # a new table: every row is missing
+        got = table.rows(np.arange(len(table.trajs)))
+        stride = 7 if name == "horizon-4" else 1  # 585 trajectories
+        for i in range(0, len(table.trajs), stride):
+            want = [trajectory_distance(table.trajs[i], u)
+                    for u in table.trajs]
+            assert (_bits(got[i]) == _bits(want)).all()
+
+    def test_the_horizon_4_game_has_mixed_lengths_and_many_blocks(self):
+        table = _horizon_4().table
+        assert set(table.lengths.tolist()) == {2, 3, 4}
+        cells = table.ids.size + len(table.trajs)  # of one query's tables
+        assert len(table.trajs) * cells > 4 * EDIT_BLOCK_ELEMENTS
+
+    def test_one_block_of_queries_of_mixed_lengths(self, lewis3):
+        """Lewis trajectories have one action; queries of 0 to 3 actions,
+        an action of no game among them, share one block."""
+        from cooplang.games import Trajectory
+        table = lewis3.table
+        taus = [Trajectory(steps=tuple(("", a, 0.0) for a in actions),
+                           canonical_key=",".join(actions),
+                           game_fingerprint=lewis3.fingerprint)
+                for actions in [(), ("pick1",), ("pick2", "pick0"),
+                                ("zz", "pick1", "pick1"), ("zz",), ("pick0",)]]
+        ids = [[table._action_id.get(a, -1) for a in t.actions] for t in taus]
+        queries = np.full((len(ids), 3), -1)
+        for q, a in zip(queries, ids):
+            q[:len(a)] = a
+        n = np.array([len(a) for a in ids])
+        got = table._edit_rows(queries, n)
+        for tau, row in zip(taus, got):
+            want = _bits([trajectory_distance(u, tau) for u in table.trajs])
+            assert (_bits(row) == want).all()
+            assert (_bits(table.column(tau)) == want).all()
+
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_rows_across_block_boundaries(self, sm_3x3, monkeypatch,
+                                          per_block):
+        """Duplicate and unsorted indices; blocks of one query each, and of
+        three, which split the request; only missing rows are computed."""
+        from cooplang import tables
+        table = sm_3x3.table
+        cells = table.ids.size + len(table.trajs)  # of one query's tables
+        if per_block is not None:
+            monkeypatch.setattr(tables, "EDIT_BLOCK_ELEMENTS",
+                                per_block * cells + cells // 2)
+        blocks = _count_blocks(monkeypatch)
+        idx = [90, 7, 3, 90, 124, 0, 7, 55, 3]
+        got = table.rows(idx)
+        assert got.shape == (len(idx), len(table.trajs))
+        for i, row in zip(idx, got):
+            want = [trajectory_distance(table.trajs[i], u)
+                    for u in table.trajs]
+            assert (_bits(row) == _bits(want)).all()
+        # 6 distinct rows
+        assert [len(b) for b in blocks] == {None: [6], 1: [1] * 6,
+                                            3: [3, 3]}[per_block]
+        # in order of first use
+        assert sum(blocks, []) == [90, 7, 3, 124, 0, 55]
+        known = len(blocks)
+        again = table.rows([124, 6, 7, 6])
+        assert blocks[known:] == [[6]]  # only the missing row
+        assert (_bits(again[[0, 2]]) == _bits(got[[4, 1]])).all()
+        assert (_bits(again[1]) == _bits(again[3])).all()
+        assert table.rows([]).shape == (0, len(table.trajs))
+
+    def test_a_literal_wernicke_fit_computes_every_row_in_one_block(
+            self, tmp_path, monkeypatch, capsys):
+        from cooplang.cli import EXIT_OK, main
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIGS["sm2x2-eps0.1"]))
+        argv = ["--config", str(config), "--out", str(tmp_path), "--canonical"]
+        assert main(["collect", *argv]) == EXIT_OK
+        blocks = _count_blocks(monkeypatch)
+        assert main(["fit-wernicke", *argv]) == EXIT_OK
+        assert len(blocks) == 1
+        rows = len(set(blocks[0]))
+        table = GameSpec.from_json_dict(CONFIGS["sm2x2-eps0.1"]["game"]).table
+        assert rows == len(blocks[0]) > 1
+        # the one block holds every row
+        assert (rows * (table.ids.size + len(table.trajs))
+                <= EDIT_BLOCK_ELEMENTS)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("name", ["lewis", "sm_2x2", "sm_3x3"])

@@ -228,13 +228,13 @@ def test_pool_threads_fill_no_row_of_D(force_workers, monkeypatch):
     from cooplang.tables import GameTable
 
     fillers = set()
-    real = GameTable._edit_row
+    real = GameTable._edit_block
 
-    def recording(self, a):
+    def recording(self, queries, n):
         fillers.add(threading.current_thread())
-        return real(self, a)
+        return real(self, queries, n)
 
-    monkeypatch.setattr(GameTable, "_edit_row", recording)
+    monkeypatch.setattr(GameTable, "_edit_block", recording)
     force_workers(2)
     _S(_listener(SM_2X2, epsilon=0.1, codebook_k=8), SM_2X2)
     assert fillers == {threading.current_thread()}
