@@ -38,8 +38,10 @@ from .inference import (
 from .schema import CONFIG, SECTIONS, check
 from .semantics import (
     DistanceConfig,
+    load_semantics,
     positive_listening_test,
     positive_signalling_test_by_body,
+    save_semantics,
     trajectory_distance,
 )
 from .tables import listener_table
@@ -57,6 +59,7 @@ RUN_DEFAULTS = {"n_episodes": 100, "seed": 0, "out": "out"}
 ARTIFACTS = {
     "community": "community.json",
     "dataset": "dataset.jsonl",
+    "semantics": "semantics.json",
     "broca": "broca.json",
     "wernicke": "wernicke.json",
     "report_json": "report.json",
@@ -127,6 +130,13 @@ def _load_dataset(out: Path, game: GameSpec):
     return data.load(path, game=game)
 
 
+def _load_semantics(out: Path, community, game: GameSpec) -> None:
+    """Give the first listener's table, which the speakers and the
+    listening test read, the LP entries of S that `collect` saved."""
+    load_semantics(listener_table(community.listeners[0], game),
+                   out / ARTIFACTS["semantics"])
+
+
 def cmd_gen_community(cfg: ExperimentConfig, args) -> str:
     out = _out_dir(cfg)
     community = build_community(cfg.community, cfg.run["seed"])
@@ -141,6 +151,8 @@ def cmd_collect(cfg: ExperimentConfig, args) -> str:
     dataset = data.collect(community, cfg.run["n_episodes"], cfg.run["seed"],
                            timestamp=_timestamp(args))
     data.save(dataset, out / ARTIFACTS["dataset"])
+    save_semantics(listener_table(community.listeners[0], cfg.game),
+                   out / ARTIFACTS["semantics"])
     return f"{len(dataset)} records -> {out / ARTIFACTS['dataset']}"
 
 
@@ -172,6 +184,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> str:
     out = _out_dir(cfg)
     dataset = _load_dataset(out, cfg.game)
     community = build_community(cfg.community, cfg.run["seed"])
+    _load_semantics(out, community, cfg.game)
     signalling = positive_signalling_test_by_body(
         dataset.bodies, dataset.body_ids, cfg.distances)
     listening = positive_listening_test(
@@ -208,6 +221,7 @@ def cmd_eval_listener(cfg: ExperimentConfig, args) -> str:
     community = build_community(cfg.community, cfg.run["seed"])
     model = WernickeModel.from_json_dict(
         _read_json(out / ARTIFACTS["wernicke"]), cfg.game)
+    _load_semantics(out, community, cfg.game)
     report = eval_listener(model, community, cfg.run["n_episodes"], cfg.run["seed"])
     path = _write_report(out, report)
     return f"listener recovery_rate={report.recovery_rate:.4f} -> {path}"

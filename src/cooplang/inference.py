@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import ListenerPolicy
 from .errors import (
     ConfigError,
     DomainMismatchError,
@@ -45,7 +44,7 @@ class MapConfig:
 
 
 def boltzmann_message_likelihood(
-    listener: ListenerPolicy, game: GameSpec, message: Message,
+    listener, game: GameSpec, message: Message,
     target: Trajectory, cfg: DistanceConfig,
 ) -> float:
     """exp(-S(m*, m)) normalized over all messages of length 1..L."""

@@ -17,11 +17,19 @@ the caller solves a share and a process-wide thread pool the rest
 (`_lift_pairs`). There is no option; S has the same bits on any
 number of CPUs. The gain needs HiGHS's `run` to release the GIL, as it
 does on scipy 1.17.1; on the 1.15 floor that is unverified.
+
+The entries of S that needed an LP outlive their process through a file:
+`save_semantics` writes a table's, and `load_semantics` marks them known
+in another process's table of the same game, behaviours and solver, so
+each LP of a pipeline is solved once. A file that does not match, or is
+malformed in any way, is ignored whole, and S is computed as without it.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import os
 import threading
 from dataclasses import dataclass
@@ -254,12 +262,7 @@ def distances(table: ListenerTable, a, rows, cfg) -> np.ndarray:
     if cfg.dist_lift == "wasserstein1" and np.any(rows != a):
         _check_support_cap(max(table.nnz[a].max(), table.nnz[rows].max()),
                            cfg)
-    S = table.S.get(cfg.dist_lift)
-    if S is None:
-        for p in table.P:
-            _check_normalized(p.tolist(), "p")
-        S = np.full((len(table.P),) * 2, np.nan)  # NaN: not yet lifted
-        np.fill_diagonal(S, 0.0)
+    S = _semantic_matrix(table, cfg.dist_lift)
     d = S[a, rows]
     unknown = np.isnan(d)
     if unknown.any():
@@ -268,6 +271,18 @@ def distances(table: ListenerTable, a, rows, cfg) -> np.ndarray:
         d = S[a, rows]
     table.S[cfg.dist_lift] = S
     return d
+
+
+def _semantic_matrix(table: ListenerTable, lift: str) -> np.ndarray:
+    """The table's S for a lift; a new one, which checks that each row of
+    P sums to 1 and is unknown off its diagonal, if the table has none."""
+    S = table.S.get(lift)
+    if S is None:
+        for p in table.P:
+            _check_normalized(p.tolist(), "p")
+        S = np.full((len(table.P),) * 2, np.nan)  # NaN: not yet lifted
+        np.fill_diagonal(S, 0.0)
+    return S
 
 
 def _fill(table: ListenerTable, b, c, cfg, S) -> None:
@@ -370,6 +385,114 @@ def _lift_pairs(table: ListenerTable, pairs, cfg, S) -> None:
     failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures)[1]  # pair indices differ; errors never compare
+
+
+# the version of the file `save_semantics` writes; a change to the
+# transport LP's formulation must bump it
+SEMANTICS_FORMAT_VERSION = 1
+
+
+def _p_sha256(table: ListenerTable) -> str:
+    """sha256 of the table's behaviour matrix P: its shape, then its bytes."""
+    return hashlib.sha256(str(table.P.shape).encode()
+                          + table.P.tobytes()).hexdigest()
+
+
+@functools.cache
+def _solver_version() -> str | None:
+    """The installed scipy, whose HiGHS solved the LPs, read from its
+    metadata once per process, so that reading it imports no scipy."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return f"scipy {version('scipy')}"
+    except PackageNotFoundError:
+        return None
+
+
+def save_semantics(table: ListenerTable, path) -> None:
+    """Write the Wasserstein-1 entries of the table's S that needed an LP.
+
+    Each entry is [a, b, value] with a < b, in (a, b) order; the value is
+    a JSON float, whose repr reads back to the same bits. Entries between
+    point masses are single D entries, so they are not stored. The file
+    is keyed by its format version, the game's fingerprint, the lift, a
+    sha256 of P, and, when it holds entries, the solver's scipy version.
+    It is written to a temporary file that replaces `path`, so a reader
+    never sees part of it.
+    """
+    S = _semantic_matrix(table, "wasserstein1")
+    a, b = np.triu_indices(len(S), 1)
+    keep = ~np.isnan(S[a, b]) & ((table.nnz[a] > 1) | (table.nnz[b] > 1))
+    entries = list(zip(a[keep].tolist(), b[keep].tolist(),
+                       S[a[keep], b[keep]].tolist()))
+    doc = {"format_version": SEMANTICS_FORMAT_VERSION,
+           "game": table.game.game.fingerprint, "lift": "wasserstein1",
+           "p_sha256": _p_sha256(table),
+           "solver": _solver_version() if entries else None,
+           "entries": entries}
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    os.replace(tmp, path)
+
+
+def load_semantics(table: ListenerTable, path) -> None:
+    """Mark the entries a `save_semantics` file holds known in the table's
+    Wasserstein-1 S, if the file's key matches the table and the installed
+    scipy; the others are still lifted on read.
+
+    A missing, unreadable or malformed file, one whose key does not match,
+    and one with any bad entry (a pair out of range, out of order, with
+    a == b or of two point masses; a value that is not a finite float
+    >= 0) is ignored whole and never raises. The entries enter the S that
+    `distances` sets up, so a P whose rows do not sum to 1 loads nothing
+    and still fails the first read.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):  # ValueError: not JSON, not UTF-8
+        return
+    entries = _stored_entries(table, doc)
+    if entries is None:
+        return
+    try:
+        S = _semantic_matrix(table, "wasserstein1")
+    except DistributionError:
+        return
+    a, b, value = entries
+    S[a, b] = S[b, a] = value
+    table.S["wasserstein1"] = S
+
+
+def _stored_entries(table: ListenerTable, doc):
+    """The (a, b, value) arrays of a `save_semantics` document that matches
+    the table, or None if it does not match, holds no entry or has a bad
+    one."""
+    if not (isinstance(doc, dict)
+            and doc.get("format_version") == SEMANTICS_FORMAT_VERSION
+            and type(doc["format_version"]) is int
+            and doc.get("game") == table.game.game.fingerprint
+            and doc.get("lift") == "wasserstein1"
+            and isinstance(doc.get("entries"), list) and doc["entries"]
+            and doc.get("p_sha256") == _p_sha256(table)
+            and isinstance(doc.get("solver"), str)
+            and doc["solver"] == _solver_version()):
+        return None
+    n = len(table.P)
+    for entry in doc["entries"]:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and type(entry[0]) is int and type(entry[1]) is int
+                and 0 <= entry[0] < entry[1] < n
+                and type(entry[2]) is float):
+            return None
+    a, b, value = (np.array(column) for column in zip(*doc["entries"]))
+    if ((np.diff(a * n + b) <= 0).any()
+            or ((table.nnz[a] == 1) & (table.nnz[b] == 1)).any()
+            or not (np.isfinite(value) & (value >= 0)).all()):
+        return None
+    return a, b, value
 
 
 def emission_distances(table: ListenerTable, messages, cfg) -> np.ndarray:

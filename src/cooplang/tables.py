@@ -13,7 +13,8 @@ plans (the default plan included); per message, its planned action ids
 per target (`mstar`). It also keeps, per lift, the semantic
 matrix S over its behaviour rows as plain data, which
 `semantics.distances` fills entry by entry as reads touch them (NaN
-until then). Entries have the bits of the dict-based brute force.
+until then), and `semantics.load_semantics` from the LP entries another
+process saved. Entries have the bits of the dict-based brute force.
 
 Tables hang off the objects that own their inputs: `GameSpec.table` builds
 a game's on first use, and a listener keeps its ListenerTables, which its

@@ -65,6 +65,13 @@ def test_module_level_imports_form_no_cycle():
     assert backward == []
 
 
+def test_the_estimators_import_nothing_from_the_harness():
+    """`inference` reads observed pairs only, so it never imports the
+    `community` module that builds the agents."""
+    top, inner = _imports("inference")
+    assert "community" not in top | {name for _, name in inner}
+
+
 def test_only_the_game_table_imports_inside_a_function():
     inner = [(m, function, name) for m in MODULES
              for function, name in _imports(m)[1]]

@@ -3,7 +3,8 @@ against scipy's `linprog(method="highs")`: the same optimum bit for bit,
 and the same failures as `DistributionError`, on one reused solver per
 thread; and the LPs of one semantic
 matrix spread over the LP thread pool, with the bits and the failure of one
-loop over them; and S filled on demand, each pair lifted once."""
+loop over them; and S filled on demand, each pair lifted once per
+pipeline."""
 
 import json
 import os
@@ -122,24 +123,56 @@ def test_every_pipeline_lp_matches_scipy_bit_for_bit(config, tmp_path,
     assert _differing(list(solved.values())) == []
 
 
-def test_detect_solves_only_the_null_rows_lps(tmp_path, monkeypatch):
-    """The listening test reads one row of S: the null message's behaviour
-    against the 8 codebook rows, one LP each."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(CONFIGS["sm2x2-eps0.1"]))
-    argv = ["--config", str(path), "--out", str(tmp_path / "out"),
-            "--canonical"]
-    assert main(["collect", *argv]) == EXIT_OK
-    solves = []
+@pytest.fixture
+def solves(monkeypatch):
+    """The b_eq bytes of every transport LP solved while the test runs."""
+    solved = []
     real = semantics.linprog
 
     def counting(c, A_eq, b_eq):
-        solves.append(b_eq.tobytes())
+        solved.append(b_eq.tobytes())
         return real(c, A_eq=A_eq, b_eq=b_eq)
 
     monkeypatch.setattr(semantics, "linprog", counting)
+    return solved
+
+
+def _sm2x2_argv(tmp_path) -> list:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIGS["sm2x2-eps0.1"]))
+    return ["--config", str(path), "--out", str(tmp_path / "out"),
+            "--canonical"]
+
+
+def test_detect_solves_only_the_null_rows_lps(tmp_path, solves):
+    """The listening test reads one row of S: the null message's behaviour
+    against the 8 codebook rows, one LP each, when `collect` has left no
+    entries of S to reuse."""
+    argv = _sm2x2_argv(tmp_path)
+    assert main(["collect", *argv]) == EXIT_OK
+    (tmp_path / "out" / "semantics.json").unlink()
+    solves.clear()
     assert main(["detect", *argv]) == EXIT_OK
     assert len(solves) == len(set(solves)) == 8
+
+
+def test_each_lp_of_a_pipeline_is_solved_once(tmp_path, solves):
+    """`collect` solves S's 36 LPs and saves them, so `eval-listener` and
+    `detect` solve none; without `semantics.json` they solve 36 and 8."""
+    argv = _sm2x2_argv(tmp_path)
+    for command in ("collect", "fit-wernicke"):
+        assert main([command, *argv]) == EXIT_OK
+    assert len(solves) == len(set(solves)) == 36
+    counts = {}
+    for saved in (True, False):
+        if not saved:
+            (tmp_path / "out" / "semantics.json").unlink()
+        for command in ("eval-listener", "detect"):
+            solves.clear()
+            assert main([command, *argv]) == EXIT_OK
+            counts[saved, command] = len(solves)
+    assert counts == {(True, "eval-listener"): 0, (True, "detect"): 0,
+                      (False, "eval-listener"): 36, (False, "detect"): 8}
 
 
 class TestFailures:
