@@ -113,7 +113,11 @@ def _write_json(path: Path, doc) -> Path:
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.run["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where the directory or a parent goes
+        raise ConfigError(f"run.out: cannot make directory {out}: "
+                          f"{exc.strerror}") from None
     return out
 
 
@@ -184,7 +188,8 @@ def cmd_detect(cfg: ExperimentConfig, args) -> str:
     out = _out_dir(cfg)
     dataset = _load_dataset(out, cfg.game)
     community = build_community(cfg.community, cfg.run["seed"])
-    _load_semantics(out, community, cfg.game)
+    if cfg.distances.dist_lift == "wasserstein1":  # the lift of its entries
+        _load_semantics(out, community, cfg.game)
     signalling = positive_signalling_test_by_body(
         dataset.bodies, dataset.body_ids, cfg.distances)
     listening = positive_listening_test(

@@ -26,17 +26,13 @@ from .semantics import DistanceConfig, emission_distances
 from .tables import listener_table
 
 
-def pad_action(game: GameSpec) -> str:
-    # "pick" off an item cell is a stay-in-place step in the supermarket
-    return "pick" if game.kind == "supermarket" else game.env_actions[0]
-
-
 @dataclass(frozen=True, eq=False)
 class ListenerPolicy:
     """Executes the plan assigned to a message, with uniform action noise.
 
-    Unknown and null messages fall back to default_plan. Plans shorter
-    than the realized episode are padded with the game's pad action.
+    Unknown and null messages fall back to default_plan. The listener's
+    table applies the pad rule (`tables._plan_actions`): a plan shorter
+    than the realized episode is padded with the game's pad action.
     The policy is immutable and keeps a read-only copy of its codebook,
     so its cached tables cannot go stale.
     """
@@ -56,9 +52,6 @@ class ListenerPolicy:
 
     def plan_for(self, message: Message) -> tuple[str, ...]:
         return self.codebook.get(message.canonical(), self.default_plan)
-
-    def planned_action(self, game: GameSpec, plan: tuple[str, ...], k: int) -> str:
-        return plan[k] if k < len(plan) else pad_action(game)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +101,12 @@ class Community:
     listeners: list[ListenerPolicy]
     seed: int
     config: CommunityConfig
-    # Boltzmann prior over `game.table.trajs`, exp(V / temp_target)
+    # the target law over `game.table.trajs` (`_law` of the returns V)
     prior: np.ndarray = field(init=False, repr=False)
-    _prior_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.prior = _boltzmann(self.game.table.values,
-                                self.config.temp_target)
-        self._prior_cdf = _cdf(self.prior)
+        self.prior = _law(self.game.table.values, self.config.temp_target,
+                          self.config.greedy_target)
 
     @property
     def codebook(self) -> Mapping[str, tuple[str, ...]]:
@@ -176,20 +167,21 @@ def _boltzmann(scores: np.ndarray, temp: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _law(scores: np.ndarray, temp: float, greedy: bool) -> np.ndarray:
+    """The Boltzmann law of the scores at temp or, greedy, its zero
+    temperature limit with all mass on the first highest score."""
+    if not greedy:
+        return _boltzmann(scores, temp)
+    law = np.zeros(len(scores))
+    law[np.argmax(scores)] = 1.0
+    return law
+
+
 def _cdf(probs: np.ndarray) -> np.ndarray:
     """The CDF that Generator.choice(len(probs), p=probs) searches."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return cdf
-
-
-def _speaker_table(
-    speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
-) -> tuple[list[Message], np.ndarray]:
-    """The emission space (messages of length 1..L) and S(m*(target), m)
-    over it, always under the default DistanceConfig."""
-    table = listener_table(speaker.listener_ref, game)
-    return table.game.messages[1:], _emission(table, table.optimal_id(target))
 
 
 def _emission(table, messages) -> np.ndarray:
@@ -203,38 +195,42 @@ def _emission(table, messages) -> np.ndarray:
             "cap are fixed: the distances settings configure the detectors") from None
 
 
+def _message_law(speaker: SpeakerPolicy, dists: np.ndarray) -> np.ndarray:
+    """The speaker's law given its row S(m*(target), m) over the emission
+    space: exp(-S / temp_msg) or, under greedy_msg, all mass on the first
+    message (shortest, then lexicographic) at minimal distance."""
+    return _law(-dists, speaker.temp_msg, speaker.greedy_msg)
+
+
 def speaker_message_dist(
     speaker: SpeakerPolicy, game: GameSpec, target: Trajectory,
 ) -> tuple[list[Message], np.ndarray]:
-    """Message distribution exp(-S(m*, m)/temp) over messages of length 1..L."""
-    msgs, dists = _speaker_table(speaker, game, target)
-    return msgs, _boltzmann(-dists, speaker.temp_msg)
+    """The speaker's message law (`_message_law`) over the emission space,
+    messages of length 1..L, always under the default DistanceConfig."""
+    table = listener_table(speaker.listener_ref, game)
+    return table.game.messages[1:], _message_law(
+        speaker, _emission(table, table.optimal_id(target)))
 
 
 # The episode simulator: every episode of a run at once. rng is a PCG64Array
 # with one stream per episode, and each categorical draw is
 # Generator.choice(len(p), p=p) on every stream: one uniform searched in the
-# CDF of p (`_cdf`), so stream i's results are default_rng stream i's.
+# CDF of p (`_cdf`), so stream i's results are default_rng stream i's. A
+# greedy stream draws nothing: it searches its point-mass law's CDF at u = 0.
 
 def _sample_targets(community: Community, rng) -> np.ndarray:
-    """Per stream, a target drawn from the Boltzmann prior over returns, or
-    the highest-return trajectory under greedy_target; trajectory ids."""
-    if community.config.greedy_target:
-        return np.full(len(rng), int(np.argmax(community.game.table.values)))
-    return community._prior_cdf.searchsorted(rng.random(), side="right")
+    """Per stream, a target drawn from `community.prior`; trajectory ids."""
+    u = (np.zeros(len(rng)) if community.config.greedy_target
+         else rng.random())
+    return _cdf(community.prior).searchsorted(u, side="right")
 
 
 def _sample_messages(community: Community, speaker_ids: np.ndarray,
                      targets: np.ndarray, rng) -> np.ndarray:
-    """Per stream, a message drawn from its speaker's distribution for its
-    target (`speaker_message_dist`), as ids into `game.table.messages`.
-    Per listener the speakers refer to, one read of S gives the rows of
-    every target drawn for them, so its new LPs are one dispatch.
-
-    A greedy_msg speaker draws nothing and takes the Boltzmann limit over
-    the emission space: the first message (shortest, then lexicographic)
-    at minimal semantic distance from the optimal message, which is the
-    optimal message itself whenever that message is emittable.
+    """Per stream, a message drawn from its speaker's law for its target
+    (`speaker_message_dist`), as ids into `game.table.messages`. Per
+    listener the speakers refer to, one read of S gives the rows of every
+    target drawn for them, so its new LPs are one dispatch.
     """
     speakers = community.speakers
     draws = ~np.array([s.greedy_msg for s in speakers])[speaker_ids]
@@ -253,10 +249,8 @@ def _sample_messages(community: Community, speaker_ids: np.ndarray,
         for g, pair in enumerate(pairs.tolist()):
             s, t = divmod(pair, len(drawn))
             speaker, mine = speakers[s], streams[group == g]
-            out[mine] = 1 + (
-                np.argmin(block[t]) if speaker.greedy_msg
-                else _cdf(_boltzmann(-block[t], speaker.temp_msg))
-                .searchsorted(u[mine], side="right"))
+            out[mine] = 1 + _cdf(_message_law(speaker, block[t])).searchsorted(
+                u[mine], side="right")
     return out
 
 

@@ -33,11 +33,12 @@ class DomainMismatchError(CoopLangError):
 
 
 class SupportMismatchError(CoopLangError):
-    """Two distributions do not share the same enumerated support."""
+    """A distribution's support exceeds the Wasserstein support cap."""
 
 
 class DistributionError(CoopLangError):
-    """A distribution input is not normalized."""
+    """A distribution is not normalized or has negative mass, or its
+    transport LP failed."""
 
 
 class TooFewEpisodesError(CoopLangError):

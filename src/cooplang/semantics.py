@@ -165,7 +165,7 @@ def linprog(c, A_eq, b_eq) -> float:
     keeps the last model of its thread and HiGHS's working memory, which
     stays at the size of the largest LP the thread has solved: about
     0.6 MB after a 25x25 transport LP, 11 MB after a 125x125 one. scipy
-    is imported on the first call, since importing it takes about 0.6 s
+    is imported on the first call, since importing it takes about 0.3 s
     and a run that solves no LP never pays for it. A status other than
     optimal, or a solution that scipy's feasibility check would reject,
     raises `DistributionError`.
@@ -509,7 +509,8 @@ def optimal_message(listener, game: GameSpec, target: Trajectory) -> Message:
     Candidates include the null message; ties go to the shortest message
     and then lexicographic token order (the enumeration order).
     """
-    return listener_table(listener, game).optimal_message(target)
+    table = listener_table(listener, game)
+    return table.game.messages[table.optimal_id(target)]
 
 
 def semantic_distance(

@@ -180,7 +180,7 @@ class ListenerTable:
         self.game = game
         plans = list(dict.fromkeys(
             (listener.default_plan, *listener.codebook.values())))
-        plan_actions = _plan_actions(game, plans, listener)
+        plan_actions = _plan_actions(game, plans)
         # plans with equal behaviour share a row, so a != b means P[a] != P[b]
         self.P, rows = np.unique(
             _plan_probs(game, plan_actions, listener.epsilon), axis=0,
@@ -217,18 +217,18 @@ class ListenerTable:
         t = self.game.key_index.get(target.canonical_key)
         return 0 if t is None else int(self.mstar[t])
 
-    def optimal_message(self, target: Trajectory):
-        """The message of `optimal_id`."""
-        return self.game.messages[self.optimal_id(target)]
 
-
-def _plan_actions(game: GameTable, plans, listener) -> np.ndarray:
+def _plan_actions(game: GameTable, plans) -> np.ndarray:
     """A[p, k]: the id of the action plan p takes at step k, over the steps
-    some trajectory reaches. A plan may only use the game's actions."""
+    some trajectory reaches. A plan shorter than that takes the pad action
+    after its end: "pick" in the supermarket (off an item cell, a step in
+    place), else the game's first action. A plan may only use the game's
+    actions."""
+    pad = "pick" if game.game.kind == "supermarket" else game.env_actions[0]
     ids = np.empty((len(plans), game.ids.shape[1]), np.int64)
     for p, plan in enumerate(plans):
         for k in range(game.ids.shape[1]):
-            planned = listener.planned_action(game.game, plan, k)
+            planned = plan[k] if k < len(plan) else pad
             if planned not in game.env_actions:
                 raise InvalidActionError(
                     f"action {planned!r} not in {game.env_actions}")

@@ -22,8 +22,10 @@ import json
 
 import numpy as np
 
-from cooplang import enumerate_trajectories, trajectory_distance
-from cooplang.community import _speaker_table, speaker_message_dist
+from cooplang import (DistanceConfig, enumerate_messages,
+                      enumerate_trajectories, optimal_message,
+                      semantic_distance, trajectory_distance)
+from cooplang.community import speaker_message_dist
 from cooplang.data import _dataset, _fields
 from cooplang.errors import (ConfigError, DatasetParseError,
                              InvalidActionError, SupportMismatchError)
@@ -33,18 +35,25 @@ from cooplang.inference import (BrocaModel, WernickeModel, coarse_feature,
 from cooplang.semantics import _check_normalized, _check_support_cap, _lift
 
 
+def planned_action(game, plan, k):
+    """The plan's k-th action, or past its end the game's pad action:
+    "pick" in the supermarket, else the first action."""
+    if k < len(plan):
+        return plan[k]
+    return "pick" if game.kind == "supermarket" else game.env_actions[0]
+
+
 def behaviour(game, listener, message):
     """The listener's exact trajectory distribution given a message: per
     enumerated trajectory, the product of its noised plan-step
     probabilities, in enumeration order."""
     plan = listener.codebook.get(message.canonical(), listener.default_plan)
-    pad = "pick" if game.kind == "supermarket" else game.env_actions[0]
     n = len(game.env_actions)
     out = {}
     for t in enumerate_trajectories(game):
         p = 1.0
         for k, a in enumerate(t.actions):
-            planned = plan[k] if k < len(plan) else pad
+            planned = planned_action(game, plan, k)
             p *= (1.0 - listener.epsilon) * (a == planned) + listener.epsilon / n
         out[t] = p
     return out
@@ -97,9 +106,14 @@ def target_prior_sample(community, rng):
 
 def speaker_sample(speaker, game, target, rng):
     """A message drawn from the speaker's distribution for the target, or,
-    under greedy_msg, the first message at minimal semantic distance."""
+    under greedy_msg and with no draw, the first message of length 1..L at
+    minimal semantic distance from the target's optimal message."""
     if speaker.greedy_msg:
-        msgs, dists = _speaker_table(speaker, game, target)
+        listener = speaker.listener_ref
+        star = optimal_message(listener, game, target)
+        msgs = enumerate_messages(game)
+        dists = [semantic_distance(listener, game, star, m, DistanceConfig())
+                 for m in msgs]
         return msgs[int(np.argmin(dists))]
     msgs, p = speaker_message_dist(speaker, game, target)
     return msgs[int(rng.choice(len(p), p=p))]
@@ -120,7 +134,7 @@ def rollout(game, listener, message, rng):
         if listener.epsilon > 0 and rng.random() < listener.epsilon:
             a = actions[int(rng.choice(len(actions)))]
         else:
-            a = listener.planned_action(game, plan, len(path))
+            a = planned_action(game, plan, len(path))
             if a not in actions:
                 raise InvalidActionError(f"action {a!r} not in {actions}")
         path += (a,)

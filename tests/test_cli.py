@@ -520,6 +520,15 @@ class TestInputArtifacts:
         assert run(command, "--config", config_path) == EXIT_CONFIG
         one_line_naming(capsys, artifact)
 
+    @pytest.mark.parametrize("command,out", [("gen-community", "afile"),
+                                             ("collect", "afile/sub")])
+    def test_out_that_names_a_file_is_one_line_config_error(
+            self, config_path, tmp_path, capsys, command, out):
+        (tmp_path / "afile").write_text("")
+        assert run(command, "--config", config_path,
+                   "--out", str(tmp_path / out)) == EXIT_CONFIG
+        one_line_naming(capsys, "run.out")
+
     @pytest.mark.parametrize("command,artifact", [
         ("eval-speaker", "broca.json"),
         ("eval-listener", "wernicke.json"),

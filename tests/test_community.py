@@ -22,6 +22,7 @@ from cooplang.errors import ConfigError, VocabularyTooSmallError
 from cooplang.tables import listener_table
 from reference import (behaviour, distribution_distance, rollout,
                        speaker_sample, target_prior_sample)
+from test_artifacts import CONFIGS
 
 
 def behaviour_row(listener, game, message):
@@ -382,6 +383,46 @@ class TestFrozenPolicies:
         draws = {speaker_sample(cold, lewis3, target, rng).canonical()
                  for _ in range(200)}
         assert draws == {"a"}
+
+
+class TestLaws:
+    """The simulator draws from the laws that `Community.prior` and
+    `speaker_message_dist` return; a greedy flag makes its law a point
+    mass and its stream draw nothing."""
+
+    @pytest.mark.parametrize("name,greedy", [
+        ("sm2x2-eps0.5-greedy", True), ("lewis", True),
+        ("sm2x2-eps0.1", False), ("lewis", False)])
+    def test_collected_episodes_draw_the_laws(self, name, greedy):
+        from cooplang import DistanceConfig, collect
+        from cooplang.community import _boltzmann
+        from cooplang.semantics import emission_distances
+
+        if name == "lewis":
+            config = CommunityConfig(game=lewis_game(), greedy_msg=greedy,
+                                     greedy_target=greedy)
+        else:
+            config = CommunityConfig.from_dict(
+                {**CONFIGS[name]["community"], "game": CONFIGS[name]["game"]})
+        com = build_community(config, 0)
+        game, trajs = com.game, com.game.table.trajs
+        for rec in collect(com, 200, 0).records:
+            speaker = com.speakers[int(rec.speaker_id.removeprefix("speaker"))]
+            msgs, law = speaker_message_dist(speaker, game, rec.hidden_target)
+            mass = (com.prior[trajs.index(rec.hidden_target)],
+                    law[msgs.index(rec.message)])
+            assert (mass == (1.0, 1.0)) if greedy else (min(mass) > 0)
+        if not greedy:
+            assert com.prior.tobytes() == _boltzmann(
+                game.table.values, config.temp_target).tobytes()
+            table = listener_table(com.listeners[0], game)
+            for target in trajs:
+                row = emission_distances(table, table.optimal_id(target),
+                                         DistanceConfig())
+                for speaker in com.speakers:
+                    _, law = speaker_message_dist(speaker, game, target)
+                    assert law.tobytes() == _boltzmann(
+                        -row, speaker.temp_msg).tobytes()
 
 
 class TestSampler:

@@ -31,7 +31,7 @@ from cooplang.errors import (
     TooFewEpisodesError,
 )
 from cooplang.tables import EDIT_BLOCK_ELEMENTS
-from reference import behaviour, distribution_distance
+from reference import behaviour, distribution_distance, planned_action
 from test_artifacts import CONFIGS
 
 
@@ -604,7 +604,7 @@ class TestTables:
         for m, actions in zip(table.game.messages, table.actions.tolist()):
             plan = listener.plan_for(m)
             assert actions == [
-                env_actions.index(listener.planned_action(game, plan, k))
+                env_actions.index(planned_action(game, plan, k))
                 for k in steps]
             want = list(behaviour(game, listener, m).values())
             assert (_bits(table.P[table.row(m)]) == _bits(want)).all()

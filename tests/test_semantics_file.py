@@ -173,6 +173,27 @@ def test_readers_write_the_same_bytes_whatever_the_file(name, tmp_path):
     assert got == {label: want for label in files}
 
 
+@pytest.mark.parametrize("name,loads", [("sm2x2-eps0.1", 1),
+                                        ("sm2x2-eps0.1-tv", 0)])
+def test_detect_loads_the_file_only_under_its_lift(name, loads, tmp_path,
+                                                   monkeypatch):
+    """The file holds Wasserstein-1 entries, so a `detect` whose listening
+    test lifts by total variation does not read it."""
+    import cooplang.cli
+
+    argv = _argv(CONFIGS[name], tmp_path)
+    _run(argv, ["collect"])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return load_semantics(*args)
+
+    monkeypatch.setattr(cooplang.cli, "load_semantics", counting)
+    _run(argv, ["detect"])
+    assert len(calls) == loads
+
+
 @pytest.mark.parametrize("name", ["sm2x2-eps0.1", "sm3x3-eps0"])
 def test_a_bad_file_loads_nothing(name, tmp_path):
     argv = _argv(CONFIGS[name], tmp_path)
