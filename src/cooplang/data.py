@@ -5,8 +5,9 @@ harness-only ground-truth intended trajectory. Inference code only ever
 sees the public view, with ground truth stripped.
 
 A dataset stores each distinct record body (all but the seed) once, and
-per episode a body id and a seed, so the work is done once per body;
-`load` parses each distinct field text of those bodies once.
+per episode a body id and a seed, so the work is done once per body.
+`load` reads the lines in one pass, then cuts the distinct bodies into
+five field columns and parses each distinct field text once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
+from operator import getitem, is_not
 
 import numpy as np
 
@@ -38,6 +41,12 @@ _SEEDED = re.compile(r'\{"episode_seed":(0|[1-9][0-9]{0,19}),(.*)',
 _SAVED = (("hidden_target", "trajectory"), ("listener_id", "id"),
           ("message", "message"), ("speaker_id", "id"),
           ("trajectory", "trajectory"))
+# per kind of field text, the field whose check and parse it gets: a
+# trajectory text may be null
+_KINDS = {"trajectory": "hidden_target", "message": "message",
+          "id": "speaker_id"}
+# what a field text that fails its parse or check maps to
+_FAILED = object()
 # a record body's keys in the order of its fields' tuple
 _BODY = ("message", "trajectory", "hidden_target", "speaker_id",
          "listener_id")
@@ -275,56 +284,81 @@ def _fields(doc: dict, fp: str, game: GameSpec | None) -> tuple:
     return tuple(_value(key, doc[key], fp, game) for key in _BODY)
 
 
-def _split_fields(body: str, memo: dict, fp: str,
-                  game: GameSpec | None) -> tuple | None:
-    """The checked fields of a body in save's layout, or None.
+def _split_bodies(texts: list[str], fp: str,
+                  game: GameSpec | None) -> tuple[list, np.ndarray]:
+    """Each body text's checked fields, and whether they are its fields.
 
-    The body is cut after its `"hidden_target":` prefix at the first
+    Every body is cut after its `"hidden_target":` prefix at the first
     `,"<key>":` of each later key in sorted order and before its closing
-    `}`. Each distinct trajectory, message or id text is parsed and checked
-    once per file, in `memo`. A separator inside a field can only be a key
-    of an object in it, so a cut there leaves a text that is not one JSON
-    value, and it fails. None (the line is then parsed alone) for any
-    other body and on any error.
+    `}`, which gives five field columns, each held as the numbers of its
+    texts. Each distinct trajectory, message or id text of the bodies cut
+    whole is parsed and checked once, and each column maps to its objects
+    through those numbers; the two trajectory columns share theirs, and so
+    do the two id columns. A separator inside a field can only be a key of an
+    object in it, so a cut there leaves a text that is not one JSON value,
+    and it fails. A body fails on a failed cut, parse or check, or on a null
+    trajectory; its flag is then False (the line is parsed alone).
     """
-    if not (body.startswith('"hidden_target":') and body.endswith("}")):
-        return None
-    cuts, start = [], len('"hidden_target":')
-    for key, _ in _SAVED[1:]:
+    n, prefix = len(texts), '"hidden_target":'
+    ok = np.fromiter(map(str.startswith, texts, repeat(prefix)), bool, n)
+    ok &= np.fromiter(map(str.endswith, texts, repeat("}")), bool, n)
+    # per kind, each distinct field text -> its number
+    fresh, numbers = count(), {kind: {} for kind in _KINDS}
+
+    def cut(starts, ends, kind) -> list[int]:
+        """A column as its texts' numbers: a text equal to one cut before
+        is dropped at once, so no column of texts is kept."""
+        return list(map(numbers[kind].setdefault, map(getitem, texts, map(
+            slice, starts, ends)), fresh))
+
+    columns, starts = [], [len(prefix)] * n
+    for (_, kind), (key, _) in zip(_SAVED, _SAVED[1:]):
         sep = f',"{key}":'
-        end = body.find(sep, start)
-        if end < 0:
-            return None
-        cuts.append(body[start:end])
-        start = end + len(sep)
-    cuts.append(body[start:-1])
-    values = {}
-    try:
-        for (key, kind), text in zip(_SAVED, cuts):
-            if (kind, text) not in memo:
+        ends = np.fromiter(map(str.find, texts, repeat(sep), starts), int, n)
+        ok &= ends >= 0
+        columns.append(cut(starts, ends.tolist(), kind))
+        starts = (ends + len(sep)).tolist()
+    columns.append(cut(starts, repeat(-1), _SAVED[-1][1]))
+    for kind, key in _KINDS.items():
+        cols = [i for i, (_, of) in enumerate(_SAVED) if of == kind]
+        # only the texts of bodies not failed so far are parsed
+        wanted = set(chain.from_iterable(compress(columns[i], ok)
+                                         for i in cols))
+        objects = {}
+        for text, i in numbers[kind].items():
+            if i not in wanted:
+                continue
+            try:
                 value = json.loads(text)
-                # a trajectory text is checked as one that may be null
-                _check("hidden_target" if kind == "trajectory" else key,
-                       value)
-                memo[kind, text] = _value(key, value, fp, game)
-            values[key] = memo[kind, text]
-    except _PARSE_ERRORS:  # the line's own parse gives the exact outcome
-        return None
-    if values["trajectory"] is None:  # only hidden_target may be null
-        return None
-    return tuple(map(values.__getitem__, _BODY))
+                _check(key, value)
+                objects[i] = _value(key, value, fp, game)
+            # a body too deep to decode fails here too: its line, parsed
+            # alone in line order, raises after any earlier bad line
+            except (*_PARSE_ERRORS, RecursionError):
+                objects[i] = _FAILED
+        for i in cols:  # the texts of failed bodies map to None
+            columns[i] = list(map(objects.get, columns[i]))
+            ok &= np.fromiter(map(is_not, columns[i], repeat(_FAILED)),
+                              bool, n)
+    # only hidden_target may be null
+    ok &= np.fromiter(map(is_not, columns[-1], repeat(None)), bool, n)
+    fields = dict(zip((key for key, _ in _SAVED), columns))
+    return list(zip(*map(fields.get, _BODY))), ok
 
 
 def load(path, game: GameSpec | None = None) -> InteractionDataset:
     """Parse a JSONL dataset; optionally check it against a game.
 
     Given a game, every message must be a message of the game and every
-    trajectory one of its table, steps included. Each distinct record body
-    (a line after its leading `{"episode_seed":N,`) is stored once; each
-    line adds a body id and a seed. A new body in save's layout is cut
-    into its field texts, and each distinct trajectory, message and id
-    text is parsed and checked once per call. Any other line is parsed
-    alone, which gives its exact `DatasetParseError`.
+    trajectory one of its table, steps included. One pass over the lines
+    keys each line by its body text (the line after its leading
+    `{"episode_seed":N,`) and keeps its seed text. Then the distinct body
+    texts are cut into field columns (`_split_bodies`), which parses and
+    checks each distinct trajectory, message and id text once per call.
+    Each body cut whole is stored once, and each line adds a body id and a
+    seed. A line off save's layout, or whose body fails the cut, is a body
+    of its own, parsed alone in line order, so the first bad line raises
+    its exact `DatasetParseError`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -360,28 +394,38 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
             f"{game_fingerprint(game)}"
         )
 
-    texts: dict[str, int] = {}  # body text -> body id
-    memo: dict[tuple, object] = {}  # (kind, field text) -> its object
-    bodies, ids, seeds = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        seeded = _SEEDED.match(line)
-        if seeded is not None:
+    texts: dict[str, int] = {}  # body text -> its id
+    # per line, its body text's id (-1 off save's layout) and its seed text
+    # (a line parsed alone takes its seed from that parse)
+    keys, seeds = [], []
+    for seeded in map(_SEEDED.match, islice(lines, 1, None)):
+        if seeded is None:
+            keys.append(-1)
+            seeds.append("0")
+        else:
             seed, body = seeded.groups()
-            i = texts.get(body)
-            if i is None:
-                fields = _split_fields(body, memo, fp, game)
-                if fields is not None:
-                    i = texts[body] = len(bodies)
-                    bodies.append(fields)
-            if i is not None:
-                seeds.append(int(seed))
-                ids.append(i)
-                continue
+            keys.append(texts.setdefault(body, len(texts)))
+            seeds.append(seed)
+    fields, ok = _split_bodies(list(texts), fp, game)
+    # a line whose body is not cut whole (key -1 reads the appended False)
+    # is a body of its own, keyed by len(fields) plus its index
+    keys = np.array(keys, dtype=np.intp)
+    alone = ~np.append(ok, False)[keys]
+    keys[alone] = len(fields) + np.flatnonzero(alone)
+    keys = keys.tolist()
+    firsts = dict.fromkeys(keys)  # in order of first appearance
+    ids = list(map(dict(zip(firsts, range(len(firsts)))).__getitem__, keys))
+    seeds = list(map(int, seeds))
+    bodies = []
+    for key in firsts:  # so the lines parsed alone come in line order
+        if key < len(fields):
+            bodies.append(fields[key])
+            continue
+        index = key - len(fields)
         try:
-            doc = json.loads(line)
+            doc = json.loads(lines[index + 1])
             bodies.append(_fields(doc, fp, game))
         except _PARSE_ERRORS as exc:
-            raise DatasetParseError(lineno, str(exc)) from exc
-        seeds.append(doc["episode_seed"])
-        ids.append(len(bodies) - 1)
+            raise DatasetParseError(index + 2, str(exc)) from exc
+        seeds[index] = doc["episode_seed"]
     return _dataset(fp, bodies, ids, seeds, meta)

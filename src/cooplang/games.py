@@ -311,8 +311,10 @@ class Trajectory:
     canonical_key: str
     game_fingerprint: str
 
-    @property
+    @cached_property
     def actions(self) -> tuple[str, ...]:
+        """The action ids, built on the first read; the cache sits in the
+        instance dict, which equality, hash and repr do not read."""
         return tuple(a for _, a, _ in self.steps)
 
     @property

@@ -114,7 +114,9 @@ def _msg_sort_key(canonical: str):
 
 def _argmax_message(hist: dict[str, float]) -> str:
     """Highest count, ties to the shortest then lexicographic message."""
-    return min(hist, key=lambda m: (-hist[m], _msg_sort_key(m)))
+    top = max(hist.values())
+    return min((m for m, count in hist.items() if count == top),
+               key=_msg_sort_key)
 
 
 @dataclass(eq=False)
@@ -173,9 +175,11 @@ def _check_model_doc(doc, kind: str, game: GameSpec, tables) -> None:
 
 
 def _observed_pairs(dataset, game: GameSpec) -> list[tuple]:
-    """Per record body, the (message, trajectory, episode count) an estimator
-    may see: no hidden target reaches it. Bodies come in order of first
-    appearance, so counts fill a dict in episode order."""
+    """Per distinct (message, trajectory) pair of objects, the (message,
+    trajectory, episode count) an estimator may see: no hidden target
+    reaches it. Pairs come in order of first appearance, so counts fill a
+    dict in episode order; equal but distinct objects are distinct pairs,
+    which the count tables, keyed by value, merge."""
     fp = game_fingerprint(game)
     if not len(dataset):
         raise EmptyDatasetError("cannot fit on an empty dataset")
@@ -183,13 +187,21 @@ def _observed_pairs(dataset, game: GameSpec) -> list[tuple]:
         raise ForeignGameRecordError(
             f"dataset game {dataset.game_fingerprint} does not match {fp}"
         )
-    for _, tau, *_ in dataset.bodies:
+    messages, taus = list(zip(*dataset.bodies))[:2]
+    keys = list(zip(map(id, messages), map(id, taus)))
+    # each key's objects, in order of the key's first appearance
+    pairs = dict(zip(keys, zip(messages, taus)))
+    for tau in dict(zip(map(id, taus), taus)).values():
         if tau.game_fingerprint != fp:
             raise ForeignGameRecordError(
                 f"record trajectory from game {tau.game_fingerprint}")
-    counts = np.bincount(dataset.body_ids, minlength=len(dataset.bodies))
-    return [(message, tau, count) for (message, tau, *_), count in zip(
-        dataset.bodies, counts.tolist())]
+    index = dict(zip(pairs, range(len(pairs))))
+    pair_of_body = np.fromiter(map(index.__getitem__, keys), np.intp,
+                               len(keys))
+    counts = np.bincount(pair_of_body[np.asarray(dataset.body_ids)],
+                         minlength=len(pairs))
+    return [(message, tau, n) for (message, tau), n in zip(
+        pairs.values(), counts.tolist())]
 
 
 def fit_broca(dataset, game: GameSpec) -> BrocaModel:
@@ -300,7 +312,9 @@ def fit_wernicke(dataset, game: GameSpec, cfg: MapConfig,
 
 def _argmax_label(model: WernickeModel, hist: dict[str, int]) -> str:
     """Highest count; ties to higher return, then canonical-key order."""
-    return min(hist, key=lambda k: (-hist[k], -model.value_of(k), k))
+    top = max(hist.values())
+    return min((k for k, count in hist.items() if count == top),
+               key=lambda k: (-model.value_of(k), k))
 
 
 def wernicke_decode(model: WernickeModel, message: Message) -> Trajectory:

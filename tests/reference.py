@@ -12,10 +12,11 @@ simulator in `cooplang.community`.
 
 `fit_broca` and `fit_wernicke` count one record at a time, over
 `dataset.records`; they are the references for the estimators, which count
-once per stored record body.
+once per distinct (message, trajectory) pair.
 
 `load_line_by_line` parses every record line alone; it is the reference
-for `cooplang.data.load`'s memos of record bodies and field texts.
+for `cooplang.data.load`'s memo of record bodies and its column pass over
+the field texts.
 """
 
 import json

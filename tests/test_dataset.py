@@ -387,6 +387,90 @@ class TestFieldTexts:
             assert len(dataset) == 1000 and len(dataset.bodies) == len(bodies)
 
 
+class TestColumnPass:
+    """A line whose body fails the column pass, or that is off save's
+    layout, is a body of its own, parsed alone wherever it falls among good
+    bodies and on every line that repeats it."""
+
+    def bodies(self, lewis_community, tmp_path):
+        """Bodies by name: g0-g2 good; `reordered` fails the cut and
+        `inner` (a separator inside hidden_target) a field's parse, though
+        their lines parse alone; `bad`'s line fails alone too."""
+        path = tmp_path / "saved.jsonl"
+        save(collect(lewis_community, 40, master_seed=3), path)
+        header, *lines = path.read_text().splitlines()
+        goods = list(dict.fromkeys(line.partition(",")[2] for line in lines))
+        doc = json.loads("{" + goods[0])
+        reordered = ",".join(f'"{key}":{data._dumps(doc[key])}'
+                             for key in sorted(doc, reverse=True)) + "}"
+        inner = {**doc, "hidden_target": {**doc["hidden_target"],
+                                          "listener_id": "x"}}
+        bodies = {"g0": goods[0], "g1": goods[1], "g2": goods[2],
+                  "reordered": reordered, "inner": data._dumps(inner)[1:],
+                  "bad": data._dumps({**doc, "message": "a"})[1:]}
+        assert data._dumps(inner).count(',"listener_id":') == 2
+        return header, bodies
+
+    def write(self, path, header, bodies, names) -> list[int]:
+        """The file of these bodies, line i with seed 10 + i; its seeds."""
+        seeds = [10 + i for i in range(len(names))]
+        path.write_text("\n".join([header] + [
+            f'{{"episode_seed":{seed},{bodies[name]}'
+            if name in bodies else name  # a whole line as given
+            for seed, name in zip(seeds, names)]) + "\n")
+        return seeds
+
+    def same_as_alone(self, path, game, ids):
+        """load equals the parse of each line alone, with these body ids."""
+        got, want = load(path, game=game), load_line_by_line(path, game=game)
+        assert got.records == want.records
+        assert got.episode_seeds == want.episode_seeds
+        assert got.body_ids == tuple(ids)
+        assert got.bodies == tuple(want.bodies[ids.index(i)]
+                                   for i in range(len(got.bodies)))
+
+    @pytest.mark.parametrize("odd", ["reordered", "inner"])
+    def test_a_failing_body_repeats_among_good_ones(self, lewis_community,
+                                                    tmp_path, odd):
+        header, bodies = self.bodies(lewis_community, tmp_path)
+        path = tmp_path / "d.jsonl"
+        names = ["g0", odd, "g1", odd, "g0", odd, "g2", "g1"]
+        seeds = self.write(path, header, bodies, names)
+        for game in (None, lewis_community.game):
+            self.same_as_alone(path, game, [0, 1, 2, 3, 0, 4, 5, 2])
+            assert load(path, game=game).episode_seeds == tuple(seeds)
+
+    def test_a_first_line_off_the_layout(self, lewis_community, tmp_path):
+        header, bodies = self.bodies(lewis_community, tmp_path)
+        doc = json.loads('{"episode_seed":7,' + bodies["g1"])
+        spaced = json.dumps(doc)  # ", " and ": " separators
+        last = data._dumps({**doc, "episode_seed": None})[:-1] \
+            .replace('"episode_seed":null,', "") + ',"episode_seed":8}'
+        path = tmp_path / "d.jsonl"
+        self.write(path, header, bodies,
+                   [spaced, "g0", "g1", last, "reordered", "g0", spaced])
+        for game in (None, lewis_community.game):
+            self.same_as_alone(path, game, [0, 1, 2, 3, 4, 1, 5])
+
+    @pytest.mark.parametrize("names,line", [
+        (["g0", "bad", "g1", "bad", "g0"], 3),
+        (["bad", "g0", "g0"], 2),
+        (["g0", "reordered", "g1", "g0", "reordered", "bad", "g2"], 7),
+        (["g0", "g1", "inner", "g1", "inner", "bad", "bad"], 7),
+        (['{"episode_seed":1}', "g0", "bad"], 2),
+    ], ids=["between-good", "first", "after-repeats", "after-inner",
+            "first-line-off-layout"])
+    def test_the_first_failing_line_raises(self, lewis_community, tmp_path,
+                                           names, line):
+        header, bodies = self.bodies(lewis_community, tmp_path)
+        path = tmp_path / "d.jsonl"
+        self.write(path, header, bodies, names)
+        for game in (None, lewis_community.game):
+            got = _outcome(path, game)
+            assert got == _outcome(path, game, load_line_by_line)
+            assert got[0] == line
+
+
 def _first_appearances(ids) -> list:
     return list(dict.fromkeys(ids))
 

@@ -106,6 +106,17 @@ class TestEnumerate:
         assert a == b
         assert [t.canonical_key for t in a] == sorted(t.canonical_key for t in a)
 
+    def test_actions_are_built_once(self, sm_2x2):
+        """A read of `actions` keeps its tuple; equality, hash and repr of
+        two equal trajectories stay as they were."""
+        for t in enumerate_trajectories(sm_2x2):
+            fresh = make_trajectory(sm_2x2, t.actions)
+            assert t.actions is t.actions
+            assert t == fresh and hash(t) == hash(fresh)
+            assert repr(t) == repr(fresh)
+            assert fresh.actions == t.actions  # now both have read it
+            assert t == fresh and hash(t) == hash(fresh)
+
 
 class TestReturns:
     def test_discounted_sum(self, lewis3):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cooplang import (
     BrocaModel,
@@ -27,6 +28,7 @@ from cooplang import (
     message_distance,
     optimal_message,
     semantic_distance,
+    supermarket_game,
     trajectory_distance,
     trajectory_return,
     wernicke_decode,
@@ -39,7 +41,9 @@ from cooplang.errors import (
     ForeignGameRecordError,
 )
 from cooplang.games import game_fingerprint
-from cooplang.inference import coarse_feature
+from cooplang.inference import (_argmax_label, _argmax_message,
+                                _msg_sort_key, _observed_pairs,
+                                coarse_feature)
 from cooplang.tables import listener_table
 import reference
 
@@ -400,7 +404,7 @@ def _copied(records):
 
 @pytest.mark.parametrize("kind", ["lewis3", "sm_2x2", "sm_3x3"])
 def test_fits_equal_the_per_record_loops(request, kind):
-    """The fits count once per stored body; the references once per record,
+    """The fits count once per distinct pair; the references once per record,
     in episode order, so every count and key order must agree."""
     game = request.getfixturevalue(kind)
     com = build_community(CommunityConfig(
@@ -442,6 +446,92 @@ def test_fits_do_not_copy_records(lewis_community, monkeypatch):
         model = listener_table(lewis_community.listeners[0], game)
         assert fit_wernicke(dataset, game, MapConfig(variant=variant),
                             listener_model=model).table
+
+
+def _pairs_by_identity(dataset):
+    """Per distinct (message, trajectory) object pair, in order of first
+    appearance over the records: [message, trajectory, record count]."""
+    pairs = {}
+    for rec in dataset.records:
+        pair = pairs.setdefault((id(rec.message), id(rec.trajectory)),
+                                [rec.message, rec.trajectory, 0])
+        pair[2] += 1
+    return pairs.values()
+
+
+def test_observed_pairs_are_distinct_in_order_of_first_appearance(lewis3):
+    com = build_community(CommunityConfig(
+        game=lewis3, epsilon=0.1, n_speakers=2, n_listeners=2), 0)
+    dataset = collect(com, 300, master_seed=2)
+    for d in (dataset, dataset.public(),
+              dataset_of(lewis3, _copied(dataset.records))):
+        pairs = _observed_pairs(d, lewis3)
+        want = _pairs_by_identity(d)
+        assert len(pairs) == len(want) < len(d.bodies)
+        for (message, tau, n), (m, t, count) in zip(pairs, want):
+            assert message is m and tau is t and n == count
+        assert sum(n for *_, n in pairs) == len(d)
+
+
+def test_fits_count_once_per_distinct_pair(lewis3):
+    """Bodies that differ only by hidden target, speaker or listener share
+    one pair; equal but distinct objects (a reward of -0.0 for 0.0) make
+    pairs of their own, which the count tables merge by value."""
+    com = build_community(CommunityConfig(game=lewis3, epsilon=0.1), 0)
+    model = listener_table(com.listeners[0], lewis3)
+    a, b = record(lewis3, ("a",), ["pick0"]), record(lewis3, ("b",), ["pick1"])
+    varied = [replace(r, hidden_target=target, speaker_id=s, listener_id=j)
+              for target in lewis3.table.trajs
+              for s, j in (("speaker0", "listener0"),
+                           ("speaker1", "listener0"),
+                           ("speaker0", "listener1"))
+              for r in (a, b, a)]
+    zero = b.trajectory
+    negative = replace(zero, steps=tuple(
+        (s, act, -0.0 if r == 0 else r) for s, act, r in zero.steps))
+    assert negative == zero and negative is not zero
+    copies = [b, replace(b, trajectory=negative),
+              replace(b, message=Message(("b",))), a, b,
+              replace(b, trajectory=negative), a]
+    for records, n_pairs, n_bodies in ((varied, 2, 18), (copies, 4, 4)):
+        d = dataset_of(lewis3, records)
+        assert len(_observed_pairs(d, lewis3)) == n_pairs
+        assert len(d.bodies) == n_bodies
+        assert json.dumps(fit_broca(d, lewis3).to_json_dict()) == json.dumps(
+            reference.fit_broca(d, lewis3).to_json_dict())
+        for variant in ("literal", "expected"):
+            cfg = MapConfig(variant=variant)
+            got = fit_wernicke(d, lewis3, cfg, listener_model=model)
+            want = reference.fit_wernicke(d, lewis3, cfg, listener_model=model)
+            assert json.dumps(got.to_json_dict()) == json.dumps(
+                want.to_json_dict())
+
+
+# the 25 trajectories of a 2x2 supermarket, many of them at one return
+_SM = supermarket_game(2, 2, {"milk": (1, 1)}, ["milk"], (0, 0), 2,
+                       tuple("abc"))
+# canonical messages, and texts that split to the same tokens as one
+_TEXTS = ["a", "b", "c", "a b", "b a", "a  b", " a", "c c", ""]
+_tied = settings(max_examples=300, derandomize=True, deadline=None,
+                 database=None)
+
+
+@_tied
+@given(hist=st.dictionaries(st.sampled_from(_TEXTS), st.integers(1, 3),
+                            min_size=1))
+def test_argmax_message_is_the_min_over_every_entry(hist):
+    assert _argmax_message(hist) == min(
+        hist, key=lambda m: (-hist[m], _msg_sort_key(m)))
+
+
+@_tied
+@given(hist=st.dictionaries(st.sampled_from(
+    [t.canonical_key for t in _SM.table.trajs]), st.integers(1, 3),
+    min_size=1))
+def test_argmax_label_is_the_min_over_every_entry(hist):
+    model = WernickeModel(game=_SM, table={"a": hist}, alpha=1.0)
+    assert _argmax_label(model, hist) == min(
+        hist, key=lambda k: (-hist[k], -model.value_of(k), k))
 
 
 class TestModelSerialization:
