@@ -59,6 +59,7 @@ RUN_DEFAULTS = {"n_episodes": 100, "seed": 0, "out": "out"}
 ARTIFACTS = {
     "community": "community.json",
     "dataset": "dataset.jsonl",
+    "dataset_index": "dataset.index.json",
     "semantics": "semantics.json",
     "broca": "broca.json",
     "wernicke": "wernicke.json",
@@ -128,10 +129,13 @@ def _timestamp(args) -> str:
 
 
 def _load_dataset(out: Path, game: GameSpec):
+    """The dataset `collect` wrote, built from its index if the index
+    matches the file and the game, else parsed by `data.load`."""
     path = out / ARTIFACTS["dataset"]
     if not path.is_file():
         raise ConfigError(f"cannot read {path}: no such file")
-    return data.load(path, game=game)
+    dataset = data.load_index(path, out / ARTIFACTS["dataset_index"], game)
+    return data.load(path, game=game) if dataset is None else dataset
 
 
 def _load_semantics(out: Path, community, game: GameSpec) -> None:
@@ -150,11 +154,17 @@ def cmd_gen_community(cfg: ExperimentConfig, args) -> str:
 
 
 def cmd_collect(cfg: ExperimentConfig, args) -> str:
+    """Write the dataset, its index (`data.save_index`, which the fits and
+    `detect` build the dataset from) and the LP entries of S that the
+    first listener's table solved (`save_semantics`). Both side files are
+    written on every run."""
     out = _out_dir(cfg)
     community = build_community(cfg.community, cfg.run["seed"])
     dataset = data.collect(community, cfg.run["n_episodes"], cfg.run["seed"],
                            timestamp=_timestamp(args))
-    data.save(dataset, out / ARTIFACTS["dataset"])
+    sha256 = data.save(dataset, out / ARTIFACTS["dataset"])
+    data.save_index(dataset, cfg.game, sha256,
+                    out / ARTIFACTS["dataset_index"])
     save_semantics(listener_table(community.listeners[0], cfg.game),
                    out / ARTIFACTS["semantics"])
     return f"{len(dataset)} records -> {out / ARTIFACTS['dataset']}"

@@ -8,10 +8,19 @@ A dataset stores each distinct record body (all but the seed) once, and
 per episode a body id and a seed, so the work is done once per body.
 `load` reads the lines in one pass, then cuts the distinct bodies into
 five field columns and parses each distinct field text once.
+
+The JSONL file is the definition of a dataset. Beside a dataset that
+`collect` made, `save_index` writes its columns as ids into the game's
+table, keyed by the sha256 of the file's bytes (which `save` returns),
+and `load_index` builds the dataset `load` would give from them, with no
+work per line; an index that does not match, or is malformed in any way,
+is ignored whole.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -23,6 +32,7 @@ import numpy as np
 from .community import Community, _rollouts, _sample_messages, _sample_targets
 from .errors import (
     ConfigError,
+    CoopLangError,
     DatasetParseError,
     FingerprintMismatchError,
 )
@@ -30,6 +40,7 @@ from .games import (GameSpec, Message, Trajectory, game_fingerprint,
                     validate_message)
 from .rng import PCG64Array
 from .schema import RUN, check
+from .semantics import _write_replacing
 
 DATASET_FORMAT_VERSION = 1
 # a record line: its seed, a JSON integer >= 0 of at most 20 digits
@@ -51,8 +62,15 @@ _FAILED = object()
 _BODY = ("message", "trajectory", "hidden_target", "speaker_id",
          "listener_id")
 # what a record's parse and checks raise: JSONDecodeError is a ValueError,
-# and validate_message raises ConfigError
-_PARSE_ERRORS = (KeyError, TypeError, ValueError, ConfigError)
+# validate_message raises ConfigError, and a text nested too deep to
+# decode raises RecursionError
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, ConfigError,
+                 RecursionError)
+# the lines `save` encodes, hashes and writes at a time
+_CHUNK_LINES = 256
+# the version of the file `save_index` writes; a change to the numbering
+# of a game table's messages or trajectories must bump it
+INDEX_FORMAT_VERSION = 1
 # the meta keys `collect` copies from the harness, which `public` drops
 HARNESS_META = ("community_seed", "epsilon", "temp_msg", "temp_target",
                 "master_seed")
@@ -198,13 +216,16 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def save(dataset: InteractionDataset, path) -> None:
-    """JSONL: one header line, then one record per line.
+def save(dataset: InteractionDataset, path) -> str:
+    """JSONL: one header line, then one record per line; returns the
+    sha256 of the bytes written.
 
     A record line is `_dumps` of its fields. Each distinct trajectory,
     message and id is dumped once, each body's text is built once from
     those texts in sorted-key order, and a line is `{"episode_seed":N,`
-    plus its body's text, which gives the same bytes.
+    plus its body's text, which gives the same bytes. The lines are
+    encoded, hashed and written _CHUNK_LINES at a time, so the file is
+    never read back to hash it.
     """
     header = {
         "format_version": DATASET_FORMAT_VERSION,
@@ -230,16 +251,67 @@ def save(dataset: InteractionDataset, path) -> None:
             text = texts[key] = _dumps(v)
         return text
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dumps(header) + "\n")
-        bodies = [
-            f'"hidden_target":{traj(target)},"listener_id":{value(listener)},'
-            f'"message":{value(message.tokens)},'
-            f'"speaker_id":{value(speaker)},"trajectory":{traj(tau)}}}\n'
-            for message, tau, target, speaker, listener in dataset.bodies]
-        fh.writelines(
-            f'{{"episode_seed":{value(seed)},{bodies[i]}'
-            for i, seed in zip(dataset.body_ids, dataset.episode_seeds))
+    bodies = [
+        f'"hidden_target":{traj(target)},"listener_id":{value(listener)},'
+        f'"message":{value(message.tokens)},'
+        f'"speaker_id":{value(speaker)},"trajectory":{traj(tau)}}}\n'
+        for message, tau, target, speaker, listener in dataset.bodies]
+    lines = chain((_dumps(header) + "\n",), (
+        f'{{"episode_seed":{value(seed)},{bodies[i]}'
+        for i, seed in zip(dataset.body_ids, dataset.episode_seeds)))
+    sha256 = hashlib.sha256()
+    with open(path, "wb") as fh:
+        while chunk := "".join(islice(lines, _CHUNK_LINES)).encode("utf-8"):
+            sha256.update(chunk)
+            fh.write(chunk)
+    return sha256.hexdigest()
+
+
+def _packed(column) -> str:
+    """An int column as base64 of its little-endian int64 bytes."""
+    return base64.b64encode(
+        np.fromiter(column, "<i8", len(column)).tobytes()).decode("ascii")
+
+
+def _unpacked(text) -> np.ndarray | None:
+    """The int column `_packed` wrote, or None if text is not one."""
+    if type(text) is not str:
+        return None
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII str
+        return None
+    return np.frombuffer(raw, "<i8") if len(raw) % 8 == 0 else None
+
+
+def save_index(dataset: InteractionDataset, game: GameSpec, sha256: str,
+               path) -> None:
+    """Write the index of a dataset that `save` wrote with this sha256.
+
+    The dataset must be one `collect` made: at least one episode, and
+    bodies of the game table's own messages and trajectories. Per body the index holds the
+    message's id into `game.table.messages`, the trajectory's and the
+    hidden target's ids into `game.table.trajs` (null for no target), and
+    the speaker and listener ids; per episode, packed (`_packed`), the body
+    id and the seed. It is keyed by its format version, the dataset file's
+    sha256 and the game's fingerprint, and written through
+    `_write_replacing`.
+    """
+    table = game.table
+    # by identity: an object that is not the table's own raises KeyError
+    message_id = {id(m): i for i, m in enumerate(table.messages)}
+    traj_id = {id(t): i for i, t in enumerate(table.trajs)}
+    traj_id[id(None)] = None  # no hidden target
+    messages, taus, targets, speakers, listeners = zip(*dataset.bodies)
+    doc = {"format_version": INDEX_FORMAT_VERSION,
+           "dataset_sha256": sha256, "game": game.fingerprint,
+           "message": list(map(message_id.__getitem__, map(id, messages))),
+           "trajectory": list(map(traj_id.__getitem__, map(id, taus))),
+           "hidden_target": list(map(traj_id.__getitem__, map(id, targets))),
+           "speaker_id": list(speakers), "listener_id": list(listeners),
+           "body_ids": _packed(dataset.body_ids),
+           "episode_seeds": _packed(dataset.episode_seeds)}
+    _write_replacing(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _check(key: str, value) -> None:
@@ -334,7 +406,7 @@ def _split_bodies(texts: list[str], fp: str,
                 objects[i] = _value(key, value, fp, game)
             # a body too deep to decode fails here too: its line, parsed
             # alone in line order, raises after any earlier bad line
-            except (*_PARSE_ERRORS, RecursionError):
+            except _PARSE_ERRORS:
                 objects[i] = _FAILED
         for i in cols:  # the texts of failed bodies map to None
             columns[i] = list(map(objects.get, columns[i]))
@@ -346,35 +418,11 @@ def _split_bodies(texts: list[str], fp: str,
     return list(zip(*map(fields.get, _BODY))), ok
 
 
-def load(path, game: GameSpec | None = None) -> InteractionDataset:
-    """Parse a JSONL dataset; optionally check it against a game.
-
-    Given a game, every message must be a message of the game and every
-    trajectory one of its table, steps included. One pass over the lines
-    keys each line by its body text (the line after its leading
-    `{"episode_seed":N,`) and keeps its seed text. Then the distinct body
-    texts are cut into field columns (`_split_bodies`), which parses and
-    checks each distinct trajectory, message and id text once per call.
-    Each body cut whole is stored once, and each line adds a body id and a
-    seed. A line off save's layout, or whose body fails the cut, is a body
-    of its own, parsed alone in line order, so the first bad line raises
-    its exact `DatasetParseError`.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _header(line: str, game: GameSpec | None) -> tuple[str, dict]:
+    """The checked header line's game fingerprint and meta."""
     try:
-        lines = raw.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError(raw.count(b"\n", 0, exc.start) + 1,
-                                f"not UTF-8: {exc.reason}") from None
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DatasetParseError(1, "empty file, header line missing")
-
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DatasetParseError(1, f"bad header: {exc}") from exc
     if not isinstance(header, dict):
         raise DatasetParseError(1, "header is not a JSON object")
@@ -393,7 +441,37 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
             f"dataset game {fp} does not match provided game "
             f"{game_fingerprint(game)}"
         )
+    return fp, meta
 
+
+def load(path, game: GameSpec | None = None) -> InteractionDataset:
+    """Parse a JSONL dataset; optionally check it against a game.
+
+    Given a game, every message must be a message of the game and every
+    trajectory one of its table, steps included. One pass over the lines
+    keys each line by its body text (the line after its leading
+    `{"episode_seed":N,`) and keeps its seed text. Then the distinct body
+    texts are cut into field columns (`_split_bodies`), which parses and
+    checks each distinct trajectory, message and id text once per call.
+    Each body cut whole is stored once, and each line adds a body id and a
+    seed. A line off save's layout, or whose body fails the cut, is a body
+    of its own, parsed alone in line order, so the first bad line raises
+    its exact `DatasetParseError`. `load_index` gives the same dataset
+    from a matching index; this is the path for every other file.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(raw.count(b"\n", 0, exc.start) + 1,
+                                f"not UTF-8: {exc.reason}") from None
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DatasetParseError(1, "empty file, header line missing")
+
+    fp, meta = _header(lines[0], game)
     texts: dict[str, int] = {}  # body text -> its id
     # per line, its body text's id (-1 off save's layout) and its seed text
     # (a line parsed alone takes its seed from that parse)
@@ -429,3 +507,77 @@ def load(path, game: GameSpec | None = None) -> InteractionDataset:
             raise DatasetParseError(index + 2, str(exc)) from exc
         seeds[index] = doc["episode_seed"]
     return _dataset(fp, bodies, ids, seeds, meta)
+
+
+def load_index(path, index_path, game: GameSpec) -> InteractionDataset | None:
+    """The dataset at `path` (`load(path, game)`), built from the columns
+    of the `save_index` file at index_path; None if that file cannot serve.
+
+    The dataset file's bytes are hashed on every call. A missing,
+    unreadable or malformed index, one whose key does not match the file
+    and the game, and one with any bad entry (an id out of range, columns
+    of unequal length, a repeated body, bodies out of first-appearance
+    order, a negative seed) is ignored whole and never raises; so is a
+    header line that `load` would reject, and `load` then raises on it.
+    The bodies are made of the game table's objects, one per distinct
+    message, trajectory and id, as `load` makes them.
+    """
+    try:
+        with open(index_path, "rb") as fh:
+            doc = json.loads(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # the header line (none if the file has no newline)
+        fp, meta = _header(raw[:max(raw.find(b"\n"), 0)].decode("utf-8"),
+                           game)
+    # ValueError: JSON or UTF-8; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError, CoopLangError):
+        return None
+    table = game.table
+    if not (isinstance(doc, dict)
+            and doc.get("format_version") == INDEX_FORMAT_VERSION
+            and type(doc["format_version"]) is int
+            and doc.get("game") == game.fingerprint
+            and doc.get("dataset_sha256") == hashlib.sha256(raw).hexdigest()
+            and all(type(doc.get(key)) is list for key in _BODY)):
+        return None
+    messages, taus, targets, speakers, listeners = map(doc.get, _BODY)
+    n = len(messages)
+    ids, seeds = _unpacked(doc.get("body_ids")), _unpacked(
+        doc.get("episode_seeds"))
+    if not (all(len(column) == n for column in (taus, targets, speakers,
+                                                listeners))
+            and _id_column(messages, len(table.messages))
+            and _id_column(taus, len(table.trajs))
+            and _id_column([t for t in targets if t is not None],
+                           len(table.trajs))
+            and set(map(type, chain(speakers, listeners))) <= {str}
+            and len(set(zip(messages, taus, targets, speakers,
+                            listeners))) == n
+            and ids is not None and seeds is not None
+            and len(ids) == len(seeds) and (seeds >= 0).all()
+            and _first_appearance_order(ids, n)):
+        return None
+    names: dict[str, str] = {}  # one object per distinct id, as in `load`
+    bodies = zip(map(table.messages.__getitem__, messages),
+                 map(table.trajs.__getitem__, taus),
+                 [None if t is None else table.trajs[t] for t in targets],
+                 map(names.setdefault, speakers, speakers),
+                 map(names.setdefault, listeners, listeners))
+    return _dataset(fp, bodies, ids.tolist(), seeds.tolist(), meta)
+
+
+def _id_column(column: list, size: int) -> bool:
+    """Whether every entry is an int id into a table of `size` entries."""
+    return set(map(type, column)) <= {int} and (
+        not column or (min(column) >= 0 and max(column) < size))
+
+
+def _first_appearance_order(ids: np.ndarray, n: int) -> bool:
+    """Whether ids numbers n bodies, each first appearing after the one
+    before it: each id is at most one past every id before it."""
+    if len(ids) == 0:
+        return n == 0
+    top = np.maximum.accumulate(ids)
+    return bool(ids[0] == 0 and ids.min() >= 0 and top[-1] == n - 1
+                and (np.diff(top) <= 1).all())

@@ -344,6 +344,14 @@ def make_trajectory(game: GameSpec, actions) -> Trajectory:
     )
 
 
+def coarse_digest(game: GameSpec, state) -> str:
+    """A state's coarse feature: the picked candidate (lewis) or the
+    collected item set."""
+    if game.kind == "lewis":
+        return "none" if state[0] == "start" else f"picked:{state[1]}"
+    return "+".join(sorted(state[2]))
+
+
 def final_state(game: GameSpec, tau: Trajectory):
     state = game.initial_state()
     for a in tau.actions:
@@ -367,10 +375,12 @@ def discounted_return(tau: Trajectory, gamma: float) -> float:
     return total
 
 
-def enumerate_trajectories(
-    game: GameSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Trajectory]:
-    """Every feasible trajectory up to the horizon, sorted by canonical key.
+def enumerate_trajectories(game: GameSpec,
+                           cap: int = DEFAULT_ENUMERATION_CAP,
+                           return_final_states: bool = False):
+    """Every feasible trajectory up to the horizon, sorted by canonical key,
+    and, if return_final_states, the state each one ends in, in the same
+    order.
 
     Early termination truncates branches, so the trajectory set is
     prefix-free over action sequences.
@@ -381,16 +391,15 @@ def enumerate_trajectories(
         raise EnumerationCapError(needed, cap)
 
     fp = game_fingerprint(game)
-    out: dict[str, Trajectory] = {}
+    out: dict[str, tuple[Trajectory, tuple]] = {}  # key -> (leaf, state)
 
     def expand(state, steps):
         if len(steps) >= game.horizon or is_terminal(game, state):
             actions = [a for _, a, _ in steps]
             key = canonical_key_for(game, actions)
-            out.setdefault(
-                key, Trajectory(steps=tuple(steps), canonical_key=key,
-                                game_fingerprint=fp)
-            )
+            out.setdefault(key, (Trajectory(
+                steps=tuple(steps), canonical_key=key, game_fingerprint=fp),
+                state))
             return
         for a in game.env_actions:
             res = step(game, state, a)
@@ -398,4 +407,5 @@ def enumerate_trajectories(
                    steps + [(state_digest(game, state), a, res.reward)])
 
     expand(game.initial_state(), [])
-    return [out[k] for k in sorted(out)]
+    trajs, states = zip(*map(out.get, sorted(out)))
+    return (list(trajs), list(states)) if return_final_states else list(trajs)

@@ -22,8 +22,8 @@ from .errors import (
     FingerprintMismatchError,
     ForeignGameRecordError,
 )
-from .games import (GameSpec, Message, Trajectory, final_state,
-                    game_fingerprint, validate_message)
+from .games import (GameSpec, Message, Trajectory, coarse_digest,
+                    final_state, game_fingerprint, validate_message)
 from .schema import INFERENCE, INTEGER, check
 from .semantics import DistanceConfig, emission_distances, message_distance
 from .tables import GameTable, listener_table
@@ -100,11 +100,16 @@ def _map_index(table: GameTable, message: Message, trajectory: Trajectory,
 
 
 def coarse_feature(game: GameSpec, tau: Trajectory) -> str:
-    """Backoff feature: picked candidate (lewis) or collected item set."""
-    state = final_state(game, tau)
-    if game.kind == "lewis":
-        return "none" if state[0] == "start" else f"picked:{state[1]}"
-    return "+".join(sorted(state[2]))
+    """Backoff feature: picked candidate (lewis) or collected item set.
+
+    A trajectory of the game's table reads the table's column; any other
+    is replayed.
+    """
+    table = game.table
+    i = table.key_index.get(tau.canonical_key)
+    if i is not None and table.trajs[i] == tau:
+        return table.features[i]
+    return coarse_digest(game, final_state(game, tau))
 
 
 def _msg_sort_key(canonical: str):
@@ -207,8 +212,7 @@ def _observed_pairs(dataset, game: GameSpec) -> list[tuple]:
 def fit_broca(dataset, game: GameSpec) -> BrocaModel:
     """Count messages per observed trajectory, exact key plus backoff.
 
-    The coarse feature replays a trajectory, so it is computed once per
-    distinct observed trajectory.
+    The coarse feature is looked up once per distinct observed trajectory.
     """
     table: dict[str, dict[str, int]] = {}
     backoff: dict[str, dict[str, int]] = {}

@@ -418,8 +418,7 @@ def save_semantics(table: ListenerTable, path) -> None:
     point masses are single D entries, so they are not stored. The file
     is keyed by its format version, the game's fingerprint, the lift, a
     sha256 of P, and, when it holds entries, the solver's scipy version.
-    It is written to a temporary file that replaces `path`, so a reader
-    never sees part of it.
+    It is written through `_write_replacing`.
     """
     S = _semantic_matrix(table, "wasserstein1")
     a, b = np.triu_indices(len(S), 1)
@@ -431,9 +430,15 @@ def save_semantics(table: ListenerTable, path) -> None:
            "p_sha256": _p_sha256(table),
            "solver": _solver_version() if entries else None,
            "entries": entries}
+    _write_replacing(path, json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _write_replacing(path, text: str) -> None:
+    """Write text to a temporary file that then replaces `path`, so a
+    reader never sees part of it."""
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 

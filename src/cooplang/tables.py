@@ -4,7 +4,8 @@ A GameTable numbers the enumerated trajectories of a game in canonical-key
 order and holds their returns V, a padded action-id matrix, the edit
 distance matrix D, rows in bounded blocks on first use, each block one
 vectorized Wagner-Fischer pass over the action-id matrix for many queries
-at once (`rows`), the game's messages, and a
+at once (`rows`), each trajectory's coarse feature, kept from the
+enumeration (`features`), the game's messages, and a
 prefix trie of the trajectories that `walk` rolls out many episodes down
 at once. A ListenerTable adds one listener's behaviour, indexed by the
 game's message ids: a matrix P with one row per distinct behaviour of its
@@ -31,6 +32,7 @@ from .errors import ConfigError, DomainMismatchError, InvalidActionError
 from .games import (
     GameSpec,
     Trajectory,
+    coarse_digest,
     discounted_return,
     enumerate_messages,
     enumerate_trajectories,
@@ -48,7 +50,8 @@ class GameTable:
 
     def __init__(self, game: GameSpec):
         self.game = game
-        self.trajs = enumerate_trajectories(game)
+        self.trajs, self._final_states = enumerate_trajectories(
+            game, return_final_states=True)
         self.index = {t.actions: i for i, t in enumerate(self.trajs)}
         self.key_index = {t.canonical_key: i for i, t in enumerate(self.trajs)}
         # GameSpec.validate has checked gamma
@@ -62,6 +65,12 @@ class GameTable:
         for i, t in enumerate(self.trajs):
             self.ids[i, :len(t)] = [self._action_id[a] for a in t.actions]
         self._rows: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def features(self) -> list[str]:
+        """Per trajectory, the coarse feature of the state it ends in, kept
+        from the enumeration, so no trajectory is replayed for it."""
+        return [coarse_digest(self.game, s) for s in self._final_states]
 
     @cached_property
     def messages(self) -> list:

@@ -92,7 +92,7 @@ CONFIGS = {
 # the files each command writes, in pipeline order
 PIPELINE = [
     ("gen-community", ["community.json"]),
-    ("collect", ["dataset.jsonl", "semantics.json"]),
+    ("collect", ["dataset.jsonl", "dataset.index.json", "semantics.json"]),
     ("fit-broca", ["broca.json"]),
     ("fit-wernicke", ["wernicke.json"]),
     ("detect", ["report.json"]),
@@ -106,6 +106,8 @@ DIGESTS = {
             "910dc0bf5a8fa2e8a7d08e8934f9bff2e78ed2dd294cdf0daefe9c706761e50c",
         "collect/dataset.jsonl":
             "d76dc9afbf4c6a75c79a4879931584728751c470f36a1e2ad37db8fee34a470f",
+        "collect/dataset.index.json":
+            "a64b225ffc8ef4f6b905b36c81eb3cc03e394edb92053c6f4aaf07fa74f45ce4",
         "collect/semantics.json":
             "36c42a8e0a55e3a0d5495721c3bb4a34d63848601474b3e706dfa94f26b4862c",
         "fit-broca/broca.json":
@@ -128,6 +130,8 @@ DIGESTS = {
             "3393aec27cd47bac708ad1212004d147b9bc3a59420528bcb1e29ad4b248d993",
         "collect/dataset.jsonl":
             "013ccb17abf09bca62e5f578a90dfdca64488568d5ee8c6d881e0dab4a4953d7",
+        "collect/dataset.index.json":
+            "2dbe46dea8a2c77189f06cd95e86551cb6ef445b98e7b1b6a2dc3edd40b77be4",
         "collect/semantics.json":
             "e4c4579fb0918497c27c3fd78ef68fe583741229a859861ed3315b8b022d1c04",
         "fit-broca/broca.json":
@@ -150,6 +154,8 @@ DIGESTS = {
             "88fc2dfde8cce974140bfae553166323b179c236789afe55c34bcde4a4fdb4f4",
         "collect/dataset.jsonl":
             "42c4ba37a12062a6f9f52a5b9dc4fc9315069178cd05cbff5113f501ad27d4c0",
+        "collect/dataset.index.json":
+            "9df9a0e1ebfe3e61324c7dd48f5c9ef13b08f92d3548dd07cabd0d7add5ab4cc",
         "collect/semantics.json":
             "55e945a2e09cf1711b4ad2f62287da82a27d267b4dfa8bb1f909f146f81236fd",
         "fit-broca/broca.json":
@@ -172,6 +178,8 @@ DIGESTS = {
             "3393aec27cd47bac708ad1212004d147b9bc3a59420528bcb1e29ad4b248d993",
         "collect/dataset.jsonl":
             "013ccb17abf09bca62e5f578a90dfdca64488568d5ee8c6d881e0dab4a4953d7",
+        "collect/dataset.index.json":
+            "2dbe46dea8a2c77189f06cd95e86551cb6ef445b98e7b1b6a2dc3edd40b77be4",
         "collect/semantics.json":
             "e4c4579fb0918497c27c3fd78ef68fe583741229a859861ed3315b8b022d1c04",
         "fit-broca/broca.json":
@@ -194,6 +202,8 @@ DIGESTS = {
             "3393aec27cd47bac708ad1212004d147b9bc3a59420528bcb1e29ad4b248d993",
         "collect/dataset.jsonl":
             "013ccb17abf09bca62e5f578a90dfdca64488568d5ee8c6d881e0dab4a4953d7",
+        "collect/dataset.index.json":
+            "2dbe46dea8a2c77189f06cd95e86551cb6ef445b98e7b1b6a2dc3edd40b77be4",
         "collect/semantics.json":
             "e4c4579fb0918497c27c3fd78ef68fe583741229a859861ed3315b8b022d1c04",
         "fit-broca/broca.json":
@@ -216,6 +226,8 @@ DIGESTS = {
             "46ca308406e2d974a099c4637ca08508e53a5212096b45e33d87755ebfbaba1d",
         "collect/dataset.jsonl":
             "c7661cdfbc5c5501b7f11fcab123826ba757db160bd084b8baf9c0861d9eb6a5",
+        "collect/dataset.index.json":
+            "6ba78461d282c4181d3c29c772ab568ffec629e079e37e6f40281dc7107f378d",
         "collect/semantics.json":
             "edcb0419277f5506c07496c46128739d0647cfa5dbe137f5858ce6e1d7aa06bd",
         "fit-broca/broca.json":
@@ -238,6 +250,8 @@ DIGESTS = {
             "e3d2ce8b6f044cc86dc6b5c08864488f3d8d3f0ceb8a4be6c9ae5f3a5980f148",
         "collect/dataset.jsonl":
             "0ffe4e6b7cf50e37fc4b8808989c9a1f550bbd629fa77245b6180e9fdb2ae7d7",
+        "collect/dataset.index.json":
+            "5624e9f684d53864aa755cc08c6a510d62457a00b49023e56cbd677b4d398fe2",
         "collect/semantics.json":
             "ce4d03bfa8aa3d1fa3c2d4bde0f22c404a747878d22f523e648218b5964c6621",
         "fit-broca/broca.json":

@@ -239,6 +239,39 @@ class TestPersistence:
         with pytest.raises(DatasetParseError, match="line 3: not UTF-8"):
             load(path)
 
+    @pytest.mark.parametrize("layout,want", [
+        ("message", "line 3: "), ("whole line", "line 3: "),
+        ("header", "line 1: bad header: ")])
+    def test_a_line_nested_too_deep_names_its_line(self, tmp_path, capsys,
+                                                   layout, want):
+        """100,000 nested arrays, as a record's message, as a record line or
+        as the header: `load` and `cooplang fit-broca` (exit 4) name the
+        line."""
+        from cooplang.cli import EXIT_MODULE, main
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "game": lewis_game().to_json_dict(),
+            "run": {"n_episodes": 5, "out": str(tmp_path / "out")}}))
+        assert main(["collect", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        deep = "[" * 100_000 + "]" * 100_000
+        if layout == "message":
+            rec = json.loads(lines[2])
+            lines[2] = data._dumps({**rec, "message": []}).replace(
+                '"message":[]', f'"message":{deep}')
+        else:
+            lines[0 if layout == "header" else 2] = deep
+        path.write_text("\n".join(lines) + "\n")
+        want += "maximum recursion depth exceeded"
+        for against in (None, lewis_game()):
+            with pytest.raises(DatasetParseError, match=want):
+                load(path, game=against)
+        capsys.readouterr()
+        assert main(["fit-broca", "--config", str(config)]) == EXIT_MODULE
+        assert capsys.readouterr().err.startswith(f"error: {want}")
+
 
 class TestLoadAgainstGame:
     @staticmethod

@@ -10,6 +10,7 @@ from cooplang import (
     BrocaModel,
     CommunityConfig,
     DistanceConfig,
+    GameSpec,
     ListenerPolicy,
     MapConfig,
     Message,
@@ -40,12 +41,13 @@ from cooplang.errors import (
     FingerprintMismatchError,
     ForeignGameRecordError,
 )
-from cooplang.games import game_fingerprint
+from cooplang.games import final_state, game_fingerprint
 from cooplang.inference import (_argmax_label, _argmax_message,
                                 _msg_sort_key, _observed_pairs,
                                 coarse_feature)
 from cooplang.tables import listener_table
 import reference
+from test_artifacts import CONFIGS as ARTIFACT_CONFIGS
 
 
 def record(game, message_tokens, actions):
@@ -324,6 +326,49 @@ class TestFitBroca:
         assert sorted(seen) == sorted(model.table)
         assert sum(sum(hist.values())
                    for hist in model.backoff_table.values()) == 100
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_CONFIGS))
+    def test_feature_column_equals_the_replay(self, name):
+        """The table keeps each trajectory's feature from the enumeration;
+        it is the feature of the state a replay of its actions ends in."""
+        game = GameSpec.from_json_dict(ARTIFACT_CONFIGS[name]["game"])
+        for tau, feature in zip(game.table.trajs, game.table.features,
+                                strict=True):
+            state = final_state(game, tau)
+            want = ("+".join(sorted(state[2])) if game.kind == "supermarket"
+                    else "none" if state[0] == "start"
+                    else f"picked:{state[1]}")
+            assert feature == want
+            assert coarse_feature(game, tau) == want
+
+    def test_fits_and_emits_replay_no_trajectory_of_the_table(
+            self, lewis_community, sm_2x2, monkeypatch):
+        """fit_broca and broca_emit read the table's feature column; only a
+        trajectory the table does not hold is replayed."""
+        import cooplang.inference
+
+        replays = []
+
+        def counting(game, tau):
+            replays.append(tau)
+            return final_state(game, tau)
+
+        monkeypatch.setattr(cooplang.inference, "final_state", counting)
+        game = lewis_community.game
+        model = fit_broca(collect(lewis_community, 100, master_seed=1), game)
+        for tau in game.table.trajs:
+            broca_emit(model, tau)
+        assert replays == []
+        # the table's key, other steps: not the table's trajectory
+        tau = game.table.trajs[1]
+        other = replace(tau, steps=tuple((s, a, r + 1.0)
+                                         for s, a, r in tau.steps))
+        assert coarse_feature(game, other) == "picked:1"
+        assert replays == [other]
+        # a trajectory of another game with the same key
+        assert coarse_feature(sm_2x2, replace(
+            sm_2x2.table.trajs[0], game_fingerprint="x")) == ""
+        assert len(replays) == 2
 
 
 class TestFitWernicke:

@@ -238,7 +238,8 @@ def test_point_masses_store_no_entry(tmp_path):
     doc = json.loads(_collect(CONFIGS["sm3x3-eps0"], tmp_path))
     assert doc["entries"] == [] and doc["solver"] is None
     assert sorted(os.listdir(tmp_path / "out")) == [
-        "dataset.jsonl", "semantics.json"]  # no temporary file is left
+        "dataset.index.json", "dataset.jsonl",
+        "semantics.json"]  # no temporary file is left
 
 
 def test_fresh_readers_import_no_scipy(tmp_path):
