@@ -50,7 +50,8 @@ from .schema import DISTANCES, check, values_of
 from .tables import ListenerTable, listener_table
 
 DEFAULT_WASSERSTEIN_SUPPORT_CAP = 512
-# elements of the largest temporary array a batch of shuffles makes
+# elements of the largest array a batch of shuffles fills: its reused
+# buffers of draws and cell codes, and its joint counts
 SHUFFLE_BATCH_ELEMENTS = 2 ** 15
 
 
@@ -579,9 +580,11 @@ def positive_signalling_test(
 
     A shuffle keeps both marginals, so its MI is an increasing affine
     function of sum(c log c) over its joint counts c. The shuffles are
-    drawn and scored in batches by that sum; one whose score is within a
-    relative 1e-9 of the observed score is decided by its MI, as a single
-    shuffle would be.
+    drawn in batches into one reused buffer and scored by that sum, read
+    over the cell table or, when the cells outnumber twice the episodes,
+    as sum(log c) over each episode's cell; the observed score takes the
+    same form. A shuffle whose score is within a relative 1e-9 of the
+    observed score is decided by its MI, as a single shuffle would be.
     """
     return _signalling_test(
         _encode([(tuple(obs), tuple(act)) for obs, act, _ in episodes]),
@@ -607,29 +610,46 @@ def positive_signalling_test_by_body(
 def _signalling_test(x: np.ndarray, y: np.ndarray, cfg: DistanceConfig,
                      seed: int) -> DetectorReport:
     """The permutation test of the episodes' (observation, action) codes
-    x against their message codes y."""
+    x against their message codes y.
+
+    Each batch of shuffles is drawn into one reused buffer, and its cell
+    codes are formed in place in another. A shuffle's score, sum(c log c)
+    over its cells, is read in whichever form reads fewer entries: over
+    the cell table, or, when the cells outnumber 2n, as the same sum
+    grouped by episode, sum(log c) over each episode's cell. The observed
+    score takes the same form, and the tie band is far wider than either
+    form's rounding, so every shuffle is decided as in the other form.
+    """
     if len(x) < 30:
         raise TooFewEpisodesError(f"need at least 30 episodes, got {len(x)}")
     stat = _mutual_information(x, y)
 
     n, ny = len(y), y.max() + 1
     cells = (x.max() + 1) * ny
-    counts = np.arange(n + 1)
-    clogc = counts * np.log(np.maximum(counts, 1))
+    by_episode = cells > 2 * n
+    logc = np.log(np.maximum(np.arange(n + 1), 1))
+    clogc = np.arange(n + 1) * logc
     batch = max(1, SHUFFLE_BATCH_ELEMENTS // max(n, cells))
     # cell of shuffle k, episode i, less the message: k * cells + x[i] * ny
     base = (np.arange(batch) * cells)[:, None] + x * ny
-    observed = clogc[np.bincount(base[0] + y, minlength=cells)].sum()
+
+    def scores(codes: np.ndarray) -> np.ndarray:
+        joint = np.bincount(codes.ravel(), minlength=len(codes) * cells)
+        if by_episode:
+            return logc[joint[codes]].sum(axis=1)
+        return clogc[joint].reshape(len(codes), cells).sum(axis=1)
+
+    observed = scores(base[:1] + y)[0]
     tie = 1e-9 * observed
     rng = np.random.default_rng(check_seed(seed))
+    source = np.broadcast_to(y, (batch, n))
+    shuffled, codes = np.empty((2, batch, n), dtype=y.dtype)
     exceed = 0
     for start in range(0, cfg.permutations, batch):
         b = min(batch, cfg.permutations - start)
         # the draws of b successive rng.permutation(y) calls, in stream order
-        shuffled = rng.permuted(np.broadcast_to(y, (b, n)), axis=1)
-        joint = np.bincount((shuffled + base[:b]).ravel(),
-                            minlength=b * cells)
-        gap = clogc[joint].reshape(b, cells).sum(axis=1) - observed
+        rng.permuted(source[:b], axis=1, out=shuffled[:b])
+        gap = scores(np.add(shuffled[:b], base[:b], out=codes[:b])) - observed
         exceed += int((gap > tie).sum())
         for k in np.flatnonzero(np.abs(gap) <= tie):
             exceed += _mutual_information(x, shuffled[k]) >= stat

@@ -271,6 +271,45 @@ DIGESTS = {
     },
 }
 
+# detect's report on the benchmark's lewis-bulk (5,000 episodes) and sm-wide
+# (1,000 episodes, about 4,700 cells) shapes at seed 1: copies of the
+# configs perfbench/workloads.py builds, without the output directory
+BENCHMARK_CONFIGS = {
+    "lewis-bulk": {
+        "game": {
+            "kind": "lewis", "vocab": ["a", "b", "c", "d"], "max_msg_len": 2,
+            "horizon": 1, "gamma": 1.0, "reward_params": {"pick_reward": 1.0},
+            "layout": {"candidates": ["cand0", "cand1", "cand2", "cand3"],
+                       "target": 0}},
+        "community": {"epsilon": 0.1, "temp_msg": 1.0},
+        "inference": {"alpha": 1.0, "variant": "literal", "backoff": 0.5},
+        "distances": {"permutations": 1000},
+        "run": {"n_episodes": 5000, "seed": 1},
+    },
+    "sm-wide": {
+        "game": {
+            "kind": "supermarket",
+            "vocab": ["a", "b", "c", "d", "e", "f", "g", "h"],
+            "max_msg_len": 2, "horizon": 3, "gamma": 1.0,
+            "reward_params": {"step_penalty": -0.05, "item_reward": 1.0},
+            "layout": {"width": 3, "height": 3,
+                       "items": {"milk": [0, 1], "bread": [2, 2]},
+                       "shopping_list": ["milk", "bread"],
+                       "start": [0, 0]}},
+        "community": {"epsilon": 0.0, "temp_msg": 1.0, "codebook_k": 64},
+        "inference": {"alpha": 1.0, "variant": "literal", "backoff": 0.5},
+        "distances": {"permutations": 1000},
+        "run": {"n_episodes": 1000, "seed": 1},
+    },
+}
+
+BENCHMARK_DETECT_DIGESTS = {
+    "lewis-bulk":
+        "f7858263700b762200f3cd5ac3330fab467d5ee380f8d0c4dc44861009543d35",
+    "sm-wide":
+        "ef3f704ae795c40448a4db13dbceba6d2a80b3c7cfcbfab3c94054655c4066c1",
+}
+
 
 def run_pipeline(config: dict, tmp_path) -> dict[str, str]:
     path = tmp_path / "config.json"
@@ -308,3 +347,16 @@ def test_no_command_builds_records(name, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(InteractionDataset, "records", property(records))
     assert run_pipeline(CONFIGS[name], tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CONFIGS))
+def test_detect_bytes_are_pinned_on_the_benchmark_shapes(name, tmp_path,
+                                                         capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BENCHMARK_CONFIGS[name]))
+    out = tmp_path / "out"
+    for command in ("gen-community", "collect", "detect"):
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--canonical"]) == EXIT_OK
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == BENCHMARK_DETECT_DIGESTS[name]

@@ -745,43 +745,116 @@ def _signalling_inputs(count):
         yield episodes, DistanceConfig(permutations=permutations), i
 
 
+def _sparse_signalling_inputs(count):
+    """Seeded episode lists with many classes: more cells than 2n, so each
+    shuffle is scored by episode, and most cells hold one episode or none,
+    so many shuffles tie with the observed score."""
+    from cooplang.semantics import _encode
+
+    made = attempt = 0
+    while made < count:
+        rng = np.random.default_rng([8, attempt])
+        attempt += 1
+        n = int(rng.integers(30, 401))
+        nx, ny = (int(k) for k in rng.integers(10, 61, size=2))
+        x = rng.integers(nx, size=n)
+        rho = rng.choice([0.0, 0.1, 0.3, 1.0])
+        y = np.where(rng.random(n) < rho, x % ny, rng.integers(ny, size=n))
+        if (_encode(x).max() + 1) * (_encode(y).max() + 1) <= 2 * n:
+            continue
+        episodes = [((), (f"pick{a}",), (f"m{b}",)) for a, b in zip(x, y)]
+        permutations = int(rng.integers(100, 200))
+        yield episodes, DistanceConfig(permutations=permutations), made
+        made += 1
+
+
+def _check_against_the_shuffle_loop(inputs, monkeypatch):
+    """Each input's (statistic, p-value) equals the shuffle loop's; returns
+    the distinct p-values and the number of inputs with a recheck."""
+    import cooplang.semantics
+
+    mi_calls = []
+    real = cooplang.semantics._mutual_information
+
+    def counting(x, y):
+        mi_calls.append(1)
+        return real(x, y)
+
+    p_values = set()
+    rechecked = 0
+    for episodes, cfg, seed in inputs:
+        want = _shuffle_loop(episodes, cfg, seed)
+        mi_calls.clear()
+        monkeypatch.setattr(cooplang.semantics, "_mutual_information",
+                            counting)
+        report = positive_signalling_test(episodes, cfg, seed=seed)
+        monkeypatch.undo()
+        assert (report.statistic, report.p_value) == want
+        p_values.add(report.p_value)
+        rechecked += len(mi_calls) > 1
+    return p_values, rechecked
+
+
 class TestBatchedShuffles:
     def test_matches_the_shuffle_loop(self, monkeypatch):
-        import cooplang.semantics
-
-        mi_calls = []
-        real = cooplang.semantics._mutual_information
-
-        def counting(x, y):
-            mi_calls.append(1)
-            return real(x, y)
-
-        p_values = set()
-        rechecked = 0
-        for episodes, cfg, seed in _signalling_inputs(320):
-            want = _shuffle_loop(episodes, cfg, seed)
-            mi_calls.clear()
-            monkeypatch.setattr(cooplang.semantics, "_mutual_information",
-                                counting)
-            report = positive_signalling_test(episodes, cfg, seed=seed)
-            monkeypatch.undo()
-            assert (report.statistic, report.p_value) == want
-            p_values.add(report.p_value)
-            rechecked += len(mi_calls) > 1
+        p_values, rechecked = _check_against_the_shuffle_loop(
+            _signalling_inputs(320), monkeypatch)
         # ties against the observed statistic were decided by the MI
         assert len(p_values) > 50 and rechecked > 50
 
+    def test_scores_by_episode_match_the_shuffle_loop(self, monkeypatch):
+        """Inputs with more cells than 2n, scored by episode, and their
+        ties rechecked by the MI, keep the shuffle loop's p-values."""
+        p_values, rechecked = _check_against_the_shuffle_loop(
+            _sparse_signalling_inputs(60), monkeypatch)
+        assert len(p_values) > 10 and rechecked > 20
+
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 257])
     def test_permuted_rows_are_successive_permutations(self, n):
+        """Rows drawn into a new array, or batch after batch of different
+        sizes into one reused `out=` buffer, hold the rows of successive
+        `rng.permutation` calls, and leave the stream where those calls
+        leave it."""
         y = np.arange(n) % 3
+        source = np.broadcast_to(y, (8, n))
+        buffer = np.empty((8, n), dtype=y.dtype)
         for seed in range(4):
-            for b in (1, 3, 8):
+            for out, sizes in ((None, (1,)), (None, (3,)), (None, (8,)),
+                               (buffer, (8, 3, 1, 8, 5))):
                 ours = np.random.default_rng(seed)
                 numpy = np.random.default_rng(seed)
-                rows = ours.permuted(np.broadcast_to(y, (b, n)), axis=1)
-                want = np.stack([numpy.permutation(y) for _ in range(b)])
-                assert np.array_equal(rows, want)
+                for b in sizes:
+                    rows = ours.permuted(
+                        source[:b], axis=1,
+                        out=None if out is None else out[:b])
+                    want = np.stack([numpy.permutation(y) for _ in range(b)])
+                    assert np.array_equal(rows, want)
+                    assert out is None or np.shares_memory(rows, out)
                 assert ours.random() == numpy.random()
+
+    def test_peak_memory_is_one_batch(self):
+        """On an sm-wide-shaped input (n 1,000, about 4,700 cells) the test's
+        peak allocation stays within a few batches of elements plus O(n +
+        cells): a batch sized by n alone would hold four times the cells."""
+        import tracemalloc
+
+        from cooplang.semantics import (SHUFFLE_BATCH_ELEMENTS, _encode,
+                                        _signalling_test)
+
+        rng = np.random.default_rng(0)
+        n = 1000
+        x = _encode(rng.integers(72, size=n))
+        y = _encode(rng.integers(65, size=n))
+        cells = (x.max() + 1) * (y.max() + 1)
+        assert 4000 < cells < 5000
+        tracemalloc.start()
+        try:
+            _signalling_test(x, y, DistanceConfig(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        word = np.dtype(np.int64).itemsize
+        assert peak <= (3 * SHUFFLE_BATCH_ELEMENTS + 8 * (n + cells)) * word
 
 
 class TestPointMassBlock:
